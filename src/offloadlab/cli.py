@@ -16,7 +16,14 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__
-from .agent import TrainConfig, load_checkpoint, save_checkpoint, train, write_training_log
+from .agent import (
+    TrainConfig,
+    TrainingDiverged,
+    load_checkpoint,
+    save_checkpoint,
+    train,
+    write_training_log,
+)
 from .channel import fit_rayleigh, read_rate_trace
 from .config import (
     ConfigError,
@@ -158,6 +165,22 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _check_checkpoint_fits(path, net, trace, params) -> None:
+    """Reject a network trained for another feature width, action set or deadline."""
+    if net.k != trace.k:
+        raise ConfigError(f"checkpoint {path} takes {net.k} features, the trace has {trace.k}")
+    if net.actions != params.action_set:
+        raise ConfigError(
+            f"checkpoint {path} acts over {[a.name for a in net.actions]}, "
+            f"the run's action_set is {[a.name for a in params.action_set]}"
+        )
+    if net.q_norm != params.l_th_ms:
+        raise ConfigError(
+            f"checkpoint {path} normalizes queue delay by {net.q_norm!r} ms, "
+            f"the run's l_th_ms is {params.l_th_ms!r}"
+        )
+
+
 def cmd_eval(args) -> int:
     cfg = _resolved_config(args)
     trace = load_trace(args.trace)
@@ -167,6 +190,7 @@ def cmd_eval(args) -> int:
         if not args.checkpoint:
             raise ConfigError("--policy drl requires --checkpoint")
         net = load_checkpoint(args.checkpoint)
+        _check_checkpoint_fits(args.checkpoint, net, trace, params)
     policy = make_policy(args.policy, params, net)
     seeds = _parse_seeds(args.seeds)
     report = evaluate(
@@ -279,7 +303,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValueError, KeyError, OSError) as exc:
+    except (ConfigError, ValueError, KeyError, OSError, TrainingDiverged) as exc:
         print(f"error: {args.cmd}: {exc}", file=sys.stderr)
         return 1
 

@@ -15,6 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 COMPOSITIONS = ("overlapped", "additive")
 
 
@@ -212,6 +214,57 @@ def total_cost(
         e_rx_j=e_rx_j,
         e_total_j=e_total,
     )
+
+
+def cost_table(params: SystemParams, phi_mbps, server_delay_ms) -> tuple[np.ndarray, np.ndarray]:
+    """``total_cost`` of every action at many draws at once, bit for bit.
+
+    ``phi_mbps`` (uplink and downlink) and ``server_delay_ms`` are 1-D arrays
+    or scalars that broadcast to ``m`` draws. Returns ``(latency_ms,
+    energy_j)``, each of shape ``(m, len(params.action_set))`` with columns
+    in action-set order, computed with the operations of ``total_cost`` in
+    its order, and raises its errors for any bad draw.
+    """
+    phi, q = np.broadcast_arrays(np.atleast_1d(np.asarray(phi_mbps, dtype=float)),
+                                 np.atleast_1d(np.asarray(server_delay_ms, dtype=float)))
+    if np.any(q < 0):
+        raise ValueError("server delay must be non-negative")
+    if np.any(phi <= 0):
+        raise ValueError("channel rates must be positive")
+    n = params.n_pipelines
+    latency = np.empty((phi.shape[0], len(params.action_set)))
+    energy = np.empty_like(latency)
+    for col, action in enumerate(params.action_set):
+        i = action.i
+        l_local = latency_local(params, action)
+        e_local_j = l_local * params.p_local_w / 1e3
+        if i == 0:
+            # no radio, no server, no idle time: every other term is zero
+            latency[:, col] = l_local
+            energy[:, col] = e_local_j
+            continue
+        l_tx = i * params.b_up_kbit / phi
+        l_rx = i * params.b_down_kbit / phi
+        branch = l_tx + q + l_rx
+        if params.latency_composition == "additive":
+            latency[:, col] = l_local + branch
+            idle_ms = branch
+        else:
+            latency[:, col] = np.maximum(l_local, n * params.l_encoder_ms + branch)
+            idle_ms = np.maximum(0.0, branch - (n - i) * params.l_tail_ms)
+        energy[:, col] = (e_local_j + l_tx * params.p_tx_w / 1e3
+                          + idle_ms * params.p_idle_w / 1e3 + l_rx * params.p_tx_w / 1e3)
+    return latency, energy
+
+
+def min_energy_columns(params: SystemParams, latency_ms: np.ndarray,
+                       energy_j: np.ndarray) -> np.ndarray:
+    """``min_energy_feasible`` per row of a ``cost_table``, as action-set columns.
+
+    ``argmin`` keeps the first of equal energies, the smaller offload count;
+    a row with no feasible action gets column 0, which is offload_0.
+    """
+    return np.argmin(np.where(latency_ms > params.l_th_ms, np.inf, energy_j), axis=1)
 
 
 def feasible_actions(

@@ -31,6 +31,9 @@ REWARD_BASES = ("observed", "realized")
 CASE_UNCERTAINTY = "uncertainty"
 CASE_DEADLINE = "deadline"
 CASE_ENERGY = "energy"
+# the energy branch counts an action as minimal within these tolerances
+RANK_REL_TOL = 1e-12
+RANK_ABS_TOL = 1e-15
 
 
 @dataclass(frozen=True, slots=True)
@@ -86,9 +89,43 @@ def reward_with_case(
         return p, CASE_DEADLINE
     energies = list(feasible_energies_j)
     e = cost.e_total_j if energy_for_rank_j is None else energy_for_rank_j
-    if energies and math.isclose(e, min(energies), rel_tol=1e-12, abs_tol=1e-15):
+    if energies and math.isclose(e, min(energies), rel_tol=RANK_REL_TOL, abs_tol=RANK_ABS_TOL):
         return 0.0, CASE_ENERGY
     return p, CASE_ENERGY
+
+
+def reward_table(
+    params: SystemParams,
+    reward_params: RewardParams,
+    map_full: np.ndarray,
+    columns: np.ndarray,
+    latency_ms: np.ndarray,
+    rank_latency_ms: np.ndarray,
+    rank_energy_j: np.ndarray,
+) -> np.ndarray:
+    """``reward_with_case`` rewards of many steps at once, value for value.
+
+    Row ``t`` is one step: ``columns[t]`` is the chosen action's column in
+    ``params.action_set``, ``latency_ms`` the ``cost_table`` of the realized
+    draw, and the ``rank_`` tables those of the draw the energy branch ranks
+    against.
+    """
+    p = reward_params.p_penalty
+    n = params.n_pipelines
+    rows = np.arange(len(columns))
+    uncertainty = np.array([0.0 if a.i == 0 else p / (n - a.i) for a in params.action_set])
+    feasible = rank_latency_ms <= params.l_th_ms
+    e = rank_energy_j[rows, columns]
+    e_min = np.where(feasible, rank_energy_j, np.inf).min(axis=1)
+    # math.isclose(e, e_min, ...) term by term
+    diff = np.abs(e_min - e)
+    close = (e == e_min) | (np.isfinite(e) & np.isfinite(e_min) & (
+        (diff <= np.abs(RANK_REL_TOL * e_min)) | (diff <= np.abs(RANK_REL_TOL * e))
+        | (diff <= RANK_ABS_TOL)))
+    minimal = feasible.any(axis=1) & close
+    missed = latency_ms[rows, columns] > params.l_th_ms
+    return np.where(map_full < params.map_th, uncertainty[columns],
+                    np.where(missed | ~minimal, p, 0.0))
 
 
 def compute_reward(
@@ -103,6 +140,22 @@ def compute_reward(
     return reward_with_case(
         params, reward_params, map_full, action, cost, feasible_energies_j, energy_for_rank_j
     )[0]
+
+
+def check_replay(trace: ScenarioTrace, params: SystemParams, reward_basis: str) -> None:
+    """Reject a trace, action set or reward basis that no replay can run on."""
+    if len(trace) == 0:
+        raise ValueError("trace is empty")
+    if reward_basis not in REWARD_BASES:
+        raise ValueError(f"reward_basis must be one of {REWARD_BASES}")
+    for action in params.action_set:
+        if action.i == 0:
+            continue
+        key = local_subset_key(action.i, params.offload_order)
+        if key not in trace.partial_keys:
+            raise ValueError(
+                f"trace lacks reduced-fusion column map_{key} needed by {action.name}"
+            )
 
 
 class OffloadEnv:
@@ -123,18 +176,7 @@ class OffloadEnv:
         reward_params: RewardParams | None = None,
         reward_basis: str = "observed",
     ):
-        if len(trace) == 0:
-            raise ValueError("trace is empty")
-        if reward_basis not in REWARD_BASES:
-            raise ValueError(f"reward_basis must be one of {REWARD_BASES}")
-        for action in params.action_set:
-            if action.i == 0:
-                continue
-            key = local_subset_key(action.i, params.offload_order)
-            if key not in trace.partial_keys:
-                raise ValueError(
-                    f"trace lacks reduced-fusion column map_{key} needed by {action.name}"
-                )
+        check_replay(trace, params, reward_basis)
         self.trace = trace
         self.channel = channel
         self.queue = queue

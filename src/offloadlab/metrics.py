@@ -11,12 +11,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelModel
-from .cost import Action, SystemParams, total_cost
-from .env import OffloadEnv, RewardParams
-from .policies import Policy
-from .queueing import QueueModel
-from .scenario import ScenarioTrace
+from .channel import ChannelModel, capacities_from_uniform
+from .cost import Action, SystemParams, cost_table, total_cost
+from .env import RewardParams, check_replay, reward_table
+from .policies import ObservationBlock, Policy
+from .queueing import QueueModel, delays_from_uniform
+from .scenario import ScenarioTrace, local_subset_key
+
+# frames per replay block: bounds the per-block tables and the batched drl
+# forward, so replay memory stays flat in the trace length
+BLOCK_FRAMES = 512
 
 
 @dataclass(slots=True)
@@ -63,6 +67,13 @@ def _resolve_seeds(seeds) -> list[int]:
     return out
 
 
+def _draws(channel: ChannelModel, queue: QueueModel, rng: np.random.Generator, m: int):
+    """``m`` (capacity, delay) slots from one ``rng.random(2m)`` call: the
+    values of ``m`` alternating sample_capacity / sample_delay calls."""
+    u = rng.random(2 * m)
+    return capacities_from_uniform(channel, 1.0 - u[0::2]), delays_from_uniform(queue, u[1::2])
+
+
 def evaluate(
     policy: Policy,
     trace: ScenarioTrace,
@@ -76,52 +87,97 @@ def evaluate(
 ) -> EvalReport:
     """Replay the trace once per seed and pool the per-step outcomes.
 
+    A replay is open loop: no action changes the next state, which is the
+    next frame plus a fresh channel and queue draw. So each seed is computed
+    as tables, ``BLOCK_FRAMES`` frames at a time: one uniform call per block
+    gives the draws ``OffloadEnv.reset``/``step`` would take from the same
+    seed, ``cost_table`` prices every action at them, the policy picks a
+    column per frame with ``decide_block``, and the reward and realized
+    quality follow as arrays. Every step record and report field equals that
+    of an ``OffloadEnv`` reset/step loop, so reports and sweeps written from
+    them are byte-identical.
+
     ``total_energy_j`` is the per-replay total (pooled energy divided by the
     seed count); ``energy_reduction_pct`` compares it against the all-local
     policy, whose per-frame cost is draw-independent.
     """
     seed_list = _resolve_seeds(seeds)
-    env = OffloadEnv(trace, channel, queue, params,
-                     reward_params=reward_params, reward_basis=reward_basis)
-    records: list[StepRecord] = []
-    for seed in seed_list:
-        state = env.reset(seed=seed)
-        while not env.done:
-            frame = trace.frames[env.frame_index]
-            decision = policy.decide(state, frame.map_full)
-            result = env.step(decision.action)
-            records.append(
-                StepRecord(
-                    seed=seed,
-                    frame_index=result.frame_index,
-                    action=result.action,
-                    map_full=frame.map_full,
-                    realized_map=result.realized_map,
-                    e_total_j=result.cost.e_total_j,
-                    deadline_met=result.deadline_met,
-                    reward=result.reward,
-                )
-            )
-            state = result.next_state
-    n = len(records)
+    check_replay(trace, params, reward_basis)
+    reward_params = reward_params if reward_params is not None else RewardParams()
+    n = len(trace)
+    n_steps = n * len(seed_list)
+    offload_i = np.array([a.i for a in params.action_set])
+    partial_keys = [local_subset_key(a.i, params.offload_order) if a.i else None
+                    for a in params.action_set]
+    map_full = trace.map_full_values()
+    chosen = np.empty(n_steps, dtype=np.intp)
+    realized_maps = np.empty(n_steps)
+    energies = np.empty(n_steps)
+    met = np.empty(n_steps, dtype=bool)
+    rewards = np.empty(n_steps)
+    # table rows are draw slots: row t is frame t's observed draw and frame
+    # t-1's realized one, so a block of m frames spans m + 1 rows
+    observed, realized = slice(None, -1), slice(1, None)
+    rank = realized if reward_basis == "realized" else observed
+    for s, seed in enumerate(seed_list):
+        rng = np.random.default_rng(seed)
+        # the probe OffloadEnv.reset draws; each frame then draws its own slot
+        phi_last, q_last = _draws(channel, queue, rng, 1)
+        for t0 in range(0, n, BLOCK_FRAMES):
+            t1 = min(t0 + BLOCK_FRAMES, n)
+            phi, q = _draws(channel, queue, rng, t1 - t0)
+            phi = np.concatenate([phi_last, phi])
+            q = np.concatenate([q_last, q])
+            phi_last, q_last = phi[-1:], q[-1:]
+            latency, energy = cost_table(params, phi, q)
+            frames, block_map = trace.frames[t0:t1], map_full[t0:t1]
+            cols = policy.decide_block(ObservationBlock(
+                frames, phi[observed], q[observed], block_map, params,
+                latency[observed], energy[observed]))
+            rows = np.arange(len(cols))
+            on_time = latency[realized][rows, cols] <= params.l_th_ms
+            got_map = block_map.copy()
+            for t in np.flatnonzero(~on_time & (offload_i[cols] > 0)):
+                got_map[t] = frames[t].map_partial[partial_keys[cols[t]]]
+            out = slice(s * n + t0, s * n + t1)
+            chosen[out] = cols
+            realized_maps[out] = got_map
+            energies[out] = energy[realized][rows, cols]
+            met[out] = on_time
+            rewards[out] = reward_table(params, reward_params, block_map, cols,
+                                        latency[realized], latency[rank], energy[rank])
+    pooled_map = np.tile(map_full, len(seed_list))
+    counts = np.bincount(chosen, minlength=len(params.action_set)).tolist()
     actions: dict[str, ActionStats] = {}
-    for action in params.action_set:
-        chosen = [r for r in records if r.action == action]
-        stats = ActionStats(count=len(chosen), freq_pct=100.0 * len(chosen) / n)
-        if chosen:
-            stats.amap_pct = 100.0 * float(np.mean([r.map_full for r in chosen]))
-            stats.realized_amap_pct = 100.0 * float(np.mean([r.realized_map for r in chosen]))
+    for col, action in enumerate(params.action_set):
+        stats = ActionStats(count=counts[col], freq_pct=100.0 * counts[col] / n_steps)
+        if counts[col]:
+            mask = chosen == col
+            stats.amap_pct = 100.0 * float(np.mean(pooled_map[mask]))
+            stats.realized_amap_pct = 100.0 * float(np.mean(realized_maps[mask]))
         actions[action.name] = stats
-    offloading = [r for r in records if r.action.i > 0]
-    if offloading:
-        risky = sum(1 for r in offloading if r.map_full < params.map_th)
-        risky_pct = 100.0 * risky / len(offloading)
+    offloading = offload_i[chosen] > 0
+    n_offloading = int(np.count_nonzero(offloading))
+    if n_offloading:
+        risky = int(np.count_nonzero(offloading & (pooled_map < params.map_th)))
+        risky_pct = 100.0 * risky / n_offloading
     else:
         risky_pct = 0.0
-    total_energy = sum(r.e_total_j for r in records) / len(seed_list)
+    # builtin sum over Python floats: the left-to-right order of the step loop
+    total_energy = sum(energies.tolist()) / len(seed_list)
     e_local_frame = total_cost(params, Action(0), 1.0, 1.0, 0.0).e_total_j
     e_local_total = e_local_frame * len(trace)
-    report = EvalReport(
+    steps = []
+    if keep_steps:
+        columns = zip(chosen.tolist(), realized_maps.tolist(), energies.tolist(),
+                      met.tolist(), rewards.tolist())
+        steps = [
+            StepRecord(seed=seed_list[i // n], frame_index=i % n,
+                       action=params.action_set[col], map_full=trace.frames[i % n].map_full,
+                       realized_map=r_map, e_total_j=e, deadline_met=on_time, reward=r)
+            for i, (col, r_map, e, on_time, r) in enumerate(columns)
+        ]
+    return EvalReport(
         policy=policy.name,
         n_seeds=len(seed_list),
         n_frames=len(trace),
@@ -130,11 +186,10 @@ def evaluate(
         robust_pct=100.0 - risky_pct,
         total_energy_j=total_energy,
         energy_reduction_pct=100.0 * (1.0 - total_energy / e_local_total),
-        deadline_miss_pct=100.0 * sum(1 for r in records if not r.deadline_met) / n,
-        mean_reward=float(np.mean([r.reward for r in records])),
-        steps=records if keep_steps else [],
+        deadline_miss_pct=100.0 * int(np.count_nonzero(~met)) / n_steps,
+        mean_reward=float(np.mean(rewards)),
+        steps=steps,
     )
-    return report
 
 
 def eval_report_header(params: SystemParams) -> list[str]:
@@ -192,30 +247,28 @@ class SweepRow:
     feasible: dict[str, bool]
 
 
-def _sweep_row(params: SystemParams, value: float, phi: float, q: float) -> SweepRow:
-    l_total, e_total, feas = {}, {}, {}
-    for action in params.action_set:
-        cb = total_cost(params, action, phi, phi, q)
-        l_total[action.name] = cb.l_total_ms
-        e_total[action.name] = cb.e_total_j
-        feas[action.name] = cb.l_total_ms <= params.l_th_ms
-    return SweepRow(value, l_total, e_total, feas)
+def _sweep_rows(params: SystemParams, values, phi, q) -> list[SweepRow]:
+    if len(values) == 0:
+        raise ValueError("empty sweep grid")
+    latency, energy = cost_table(params, phi, q)
+    names = [a.name for a in params.action_set]
+    feasible = (latency <= params.l_th_ms).tolist()
+    return [
+        SweepRow(value, dict(zip(names, l_row)), dict(zip(names, e_row)), dict(zip(names, f_row)))
+        for value, l_row, e_row, f_row in zip(values, latency.tolist(), energy.tolist(), feasible)
+    ]
 
 
 def sweep_channel(params: SystemParams, phi_grid, fixed_q_ms: float) -> list[SweepRow]:
     """Deterministic cost table over uplink capacities at a fixed queue delay."""
-    rows = [_sweep_row(params, phi, phi, fixed_q_ms) for phi in phi_grid]
-    if not rows:
-        raise ValueError("empty sweep grid")
-    return rows
+    values = list(phi_grid)
+    return _sweep_rows(params, values, values, fixed_q_ms)
 
 
 def sweep_queue(params: SystemParams, q_grid, fixed_phi_mbps: float) -> list[SweepRow]:
     """Deterministic cost table over queue delays at a fixed capacity."""
-    rows = [_sweep_row(params, q, fixed_phi_mbps, q) for q in q_grid]
-    if not rows:
-        raise ValueError("empty sweep grid")
-    return rows
+    values = list(q_grid)
+    return _sweep_rows(params, values, fixed_phi_mbps, values)
 
 
 def sweep_header(params: SystemParams, swept_name: str) -> list[str]:

@@ -9,9 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from .agent import QNetwork, act
-from .cost import Action, SystemParams, min_energy_feasible
+from .cost import Action, SystemParams, cost_table, min_energy_columns, min_energy_feasible
 from .env import State
+from .scenario import FrameRecord
 
 TAG_LOCAL = "local_fixed"
 TAG_ENERGY = "energy_min"
@@ -50,6 +53,54 @@ def drl_policy(net: QNetwork, state: State) -> PolicyDecision:
     return PolicyDecision(net.actions[act(net, state, 0.0)], TAG_GREEDY)
 
 
+@dataclass(frozen=True, slots=True, eq=False)
+class ObservationBlock:
+    """What a policy observes on consecutive frames of one replay.
+
+    Row ``t`` is frame ``frames[t]`` with the probed draw ``phi_obs[t]``,
+    ``q_obs[t]``; ``latency_ms`` and ``energy_j`` are the ``cost_table`` of
+    those draws under ``params``, the replay's system parameters.
+    """
+
+    frames: list[FrameRecord]
+    phi_obs: np.ndarray
+    q_obs: np.ndarray
+    map_full: np.ndarray
+    params: SystemParams
+    latency_ms: np.ndarray
+    energy_j: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.frames)
+
+    def features(self) -> np.ndarray:
+        return np.array([frame.features for frame in self.frames])
+
+    def costs(self, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
+        """The cost table of the probed draws under ``params``."""
+        if params == self.params:
+            return self.latency_ms, self.energy_j
+        return cost_table(params, self.phi_obs, self.q_obs)
+
+    def column(self, action: Action) -> int:
+        """Column of ``action`` in the replay's action set; raises as OffloadEnv.step."""
+        try:
+            return self.params.action_set.index(action)
+        except ValueError:
+            raise ValueError(f"{action.name} is not in the configured action set") from None
+
+    def columns(self, actions, index: np.ndarray) -> np.ndarray:
+        """Replay columns of ``actions[index[t]]``; the first frame whose
+        action is outside the replay's action set raises as OffloadEnv.step."""
+        own = self.params.action_set
+        lookup = np.array([own.index(a) if a in own else -1 for a in actions], dtype=np.intp)
+        cols = lookup[index]
+        bad = np.flatnonzero(cols < 0)
+        if bad.size:
+            self.column(actions[index[bad[0]]])  # raises
+        return cols
+
+
 class Policy:
     """Uniform callable interface used by the evaluation harness."""
 
@@ -58,12 +109,28 @@ class Policy:
     def decide(self, state: State, frame_map_full: float) -> PolicyDecision:
         raise NotImplementedError
 
+    def decide_block(self, block: ObservationBlock) -> np.ndarray:
+        """Action-set columns chosen on every frame of ``block``.
+
+        This default calls ``decide`` frame by frame. An override computes
+        the same columns as arrays.
+        """
+        phi, q = block.phi_obs.tolist(), block.q_obs.tolist()
+        out = np.empty(len(block), dtype=np.intp)
+        for t, frame in enumerate(block.frames):
+            decision = self.decide(State(frame.features, phi[t], q[t]), frame.map_full)
+            out[t] = block.column(decision.action)
+        return out
+
 
 class LocalPolicy(Policy):
     name = "local"
 
     def decide(self, state, frame_map_full):
         return local_policy(state)
+
+    def decide_block(self, block):
+        return np.zeros(len(block), dtype=np.intp)
 
 
 class RAgnosticPolicy(Policy):
@@ -75,6 +142,10 @@ class RAgnosticPolicy(Policy):
     def decide(self, state, frame_map_full):
         return r_agnostic_policy(self.params, state.phi_obs, state.q_obs)
 
+    def decide_block(self, block):
+        best = min_energy_columns(self.params, *block.costs(self.params))
+        return block.columns(self.params.action_set, best)
+
 
 class OraclePolicy(Policy):
     name = "oracle"
@@ -85,6 +156,17 @@ class OraclePolicy(Policy):
     def decide(self, state, frame_map_full):
         return oracle_policy(self.params, state.phi_obs, state.q_obs, frame_map_full)
 
+    def decide_block(self, block):
+        best = min_energy_columns(self.params, *block.costs(self.params))
+        best[block.map_full < self.params.map_th] = 0  # column 0 is offload_0
+        return block.columns(self.params.action_set, best)
+
+
+# a batched forward may round a value apart from the batch-1 forward of
+# act() (by ~1e-14 on the bundled nets); frames whose two best values lie
+# closer than this relative gap are re-decided at batch 1
+NEAR_TIE_REL = 1e-9
+
 
 class DrlPolicy(Policy):
     name = "drl"
@@ -94,6 +176,18 @@ class DrlPolicy(Policy):
 
     def decide(self, state, frame_map_full):
         return drl_policy(self.net, state)
+
+    def decide_block(self, block):
+        values = self.net.forward(block.features(), block.phi_obs, block.q_obs)
+        best = np.argmax(values, axis=1)
+        if self.net.n_actions > 1:
+            top = np.sort(values, axis=1)
+            gap = top[:, -1] - top[:, -2]
+            phi, q = block.phi_obs.tolist(), block.q_obs.tolist()
+            for t in np.flatnonzero(gap <= NEAR_TIE_REL * np.maximum(1.0, np.abs(top[:, -1]))):
+                state = State(block.frames[t].features, phi[t], q[t])
+                best[t] = act(self.net, state, 0.0)
+        return block.columns(self.net.actions, best)
 
 
 def make_policy(name: str, params: SystemParams, net: QNetwork | None = None) -> Policy:

@@ -73,10 +73,20 @@ def sample_delay(model: QueueModel, rng: np.random.Generator) -> float:
     return (sample_position(model, rng) + 1) * model.t_service_ms
 
 
-def sample_delays(model: QueueModel, rng: np.random.Generator, n: int) -> np.ndarray:
-    """Vectorized i.i.d. delay draws, same transform as sample_delay."""
-    u = rng.random(n)
+def delays_from_uniform(model: QueueModel, u: np.ndarray) -> np.ndarray:
+    """Delays of an array of draws in [0, 1), bit for bit as sample_delay.
+
+    The logarithm goes through ``math.log``: numpy's SIMD ``log`` rounds a
+    fraction of a percent of inputs one ulp apart from it, which can move a
+    position across a slot boundary.
+    """
     w = 1.0 + u * math.expm1((model.cap + 1) * math.log(model.rho))
-    c = np.ceil(np.log(w) / math.log(model.rho)) - 1
+    logs = np.fromiter(map(math.log, w.tolist()), dtype=float, count=len(w))
+    c = np.ceil(logs / math.log(model.rho)) - 1
     c = np.clip(c, 0, model.cap)
     return (c + 1.0) * model.t_service_ms
+
+
+def sample_delays(model: QueueModel, rng: np.random.Generator, n: int) -> np.ndarray:
+    """Vectorized i.i.d. delay draws, equal to n sample_delay calls on the same rng."""
+    return delays_from_uniform(model, rng.random(n))

@@ -5,12 +5,14 @@ import pytest
 
 from offloadlab.channel import (
     ChannelModel,
+    capacities_from_uniform,
     capacity_from_uniform,
     fit_rayleigh,
     read_rate_trace,
     sample_capacities,
     sample_capacity,
 )
+from offloadlab.queueing import QueueModel, delays_from_uniform, sample_delay
 
 
 def test_fit_sigma_closed_form():
@@ -102,3 +104,23 @@ def test_read_rate_trace_errors_carry_line_numbers(tmp_path):
     p.write_text("6.1\n-2.0\n")
     with pytest.raises(ValueError, match="line 2"):
         read_rate_trace(p)
+
+
+@pytest.mark.parametrize("floor", [0.1, 0.0])
+@pytest.mark.parametrize("rho", [0.9, 0.97, 0.99])
+def test_split_uniform_stream_matches_alternating_scalar_draws(floor, rho):
+    # the replay draws one rng.random(2m) per block: even slots are
+    # capacities, odd slots queue delays, as OffloadEnv.step alternates them
+    channel = ChannelModel(sigma=8.0, floor_mbps=floor)
+    queue = QueueModel(rho=rho)
+    m = 5000
+    u = np.random.default_rng(13).random(2 * m)
+    phi = capacities_from_uniform(channel, 1.0 - u[0::2])
+    q = delays_from_uniform(queue, u[1::2])
+    rng = np.random.default_rng(13)
+    want_phi, want_q = [], []
+    for _ in range(m):
+        want_phi.append(sample_capacity(channel, rng))
+        want_q.append(sample_delay(queue, rng))
+    assert phi.tolist() == want_phi
+    assert q.tolist() == want_q

@@ -2,9 +2,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from offloadlab.agent import load_checkpoint
+from offloadlab.agent import QNetwork, load_checkpoint, save_checkpoint
 from offloadlab.cli import main
 from offloadlab.scenario import load_trace
 
@@ -154,6 +155,41 @@ def test_eval_drl_requires_checkpoint(tmp_path, capsys):
     rc = main(["eval", "--trace", str(trace), "--policy", "drl", "--out", str(tmp_path / "r.csv")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: eval:")
+
+
+@pytest.mark.parametrize(
+    "mismatch,kw",
+    [
+        ("features", {"k": 5}),
+        ("action set", {"actions": (0, 3)}),
+        ("q_norm", {"q_norm": 50.0}),
+    ],
+)
+def test_eval_drl_rejects_checkpoint_that_disagrees_with_run(tmp_path, capsys, mismatch, kw):
+    trace = _gen(tmp_path)
+    net_kw = {"k": 6, "actions": (0, 2, 3), "q_norm": 68.12, **kw}
+    ckpt = tmp_path / "other.txt"
+    save_checkpoint(QNetwork(rng=np.random.default_rng(0), **net_kw), ckpt)
+    out = tmp_path / "r.csv"
+    rc = main(["eval", "--trace", str(trace), "--policy", "drl", "--checkpoint", str(ckpt),
+               "--out", str(out), "--seeds", "0"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: eval: checkpoint")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_train_divergence_is_a_one_line_error(tmp_path, capsys):
+    trace = _gen(tmp_path)
+    ckpt = tmp_path / "net.txt"
+    rc = main(["train", "--trace", str(trace), "--out", str(ckpt), *TINY,
+               "--set", "train.loss_ceiling=1e-9", "--set", "train.loss_patience=1"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: train: loss above 1e-09 for 1 consecutive steps")
+    assert err.count("\n") == 1
+    assert not ckpt.exists()
 
 
 def test_eval_rejects_bad_seed_list(tmp_path, capsys):

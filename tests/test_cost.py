@@ -1,14 +1,18 @@
 import math
+import re
 
+import numpy as np
 import pytest
 
 from offloadlab.cost import (
     Action,
     SystemParams,
     comm_cost,
+    cost_table,
     energy_local,
     feasible_actions,
     latency_local,
+    min_energy_columns,
     min_energy_feasible,
     total_cost,
 )
@@ -196,3 +200,51 @@ def test_offload_order_length_checked():
 def test_total_cost_rejects_negative_server_delay(params):
     with pytest.raises(ValueError):
         total_cost(params, A2, 8.0, server_delay_ms=-1.0)
+
+
+@pytest.mark.parametrize("composition", ["overlapped", "additive"])
+@pytest.mark.parametrize("p_idle_w", [0.0, 0.9])
+def test_cost_table_equals_total_cost_bit_for_bit(composition, p_idle_w):
+    p = SystemParams(latency_composition=composition, p_idle_w=p_idle_w)
+    rng = np.random.default_rng(7)
+    # the capacity floor, tiny and huge capacities, q = 0 and queues long
+    # enough that the overlapped vehicle idles, then random draws
+    phi = np.concatenate([[0.1, 0.1, 1e-3, 2.0, 8.0, 1e4, 1e9, 0.1],
+                          rng.uniform(0.1, 30.0, 300)])
+    q = np.concatenate([[0.0, 15.0, 0.0, 0.0, 6000.0, 0.0, 1.5, 1e5],
+                        rng.uniform(0.0, 120.0, 300)])
+    latency, energy = cost_table(p, phi, q)
+    assert latency.shape == energy.shape == (len(phi), len(p.action_set))
+    for r, (phi_r, q_r) in enumerate(zip(phi.tolist(), q.tolist())):
+        for c, action in enumerate(p.action_set):
+            cb = total_cost(p, action, phi_r, phi_r, q_r)
+            assert latency[r, c] == cb.l_total_ms
+            assert energy[r, c] == cb.e_total_j
+    # offload_0 is draw-independent
+    assert np.all(latency[:, 0] == latency[0, 0]) and np.all(energy[:, 0] == energy[0, 0])
+
+
+def test_cost_table_broadcasts_a_fixed_draw(params):
+    grid = [2.0, 4.0, 8.0]
+    by_scalar = cost_table(params, grid, 15.0)
+    by_array = cost_table(params, grid, [15.0] * 3)
+    for got, want in zip(by_scalar, by_array):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("phi,q", [(0.0, 1.0), (-2.0, 1.0), (8.0, -1.0), (0.0, -1.0)])
+def test_cost_table_raises_total_cost_errors(params, phi, q):
+    with pytest.raises(ValueError) as scalar:
+        total_cost(params, A0, phi, phi, q)
+    with pytest.raises(ValueError, match=re.escape(str(scalar.value))):
+        cost_table(params, [8.0, phi], [1.0, q])
+
+
+def test_min_energy_columns_match_min_energy_feasible(params):
+    rng = np.random.default_rng(3)
+    phi = rng.uniform(0.5, 20.0, 400)
+    q = rng.uniform(0.0, 80.0, 400)
+    cols = min_energy_columns(params, *cost_table(params, phi, q))
+    want = [params.action_set.index(min_energy_feasible(params, f, f, d))
+            for f, d in zip(phi.tolist(), q.tolist())]
+    assert cols.tolist() == want

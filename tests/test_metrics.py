@@ -4,9 +4,12 @@ import math
 import numpy as np
 import pytest
 
+from offloadlab.agent import QNetwork
 from offloadlab.channel import ChannelModel
 from offloadlab.cost import Action, SystemParams, total_cost
+from offloadlab.env import OffloadEnv
 from offloadlab.metrics import (
+    BLOCK_FRAMES,
     evaluate,
     eval_report_header,
     eval_report_row,
@@ -16,8 +19,16 @@ from offloadlab.metrics import (
     write_eval_reports,
     write_sweep,
 )
-from offloadlab.policies import LocalPolicy, OraclePolicy, RAgnosticPolicy
+from offloadlab.policies import (
+    DrlPolicy,
+    LocalPolicy,
+    OraclePolicy,
+    Policy,
+    PolicyDecision,
+    RAgnosticPolicy,
+)
 from offloadlab.queueing import QueueModel
+from offloadlab.scenario import GeneratorParams, generate_synthetic
 
 A0, A2, A3 = Action(0), Action(2), Action(3)
 
@@ -189,3 +200,141 @@ def test_sweep_rejects_empty_grid(params):
         sweep_channel(params, [], fixed_q_ms=15.0)
     with pytest.raises(ValueError):
         sweep_queue(params, [], fixed_phi_mbps=8.0)
+
+
+class _ProbeThreshold(Policy):
+    """Defines only decide(), so evaluate goes through the default decide_block."""
+
+    name = "probe_threshold"
+
+    def decide(self, state, frame_map_full):
+        assert isinstance(state.phi_obs, float) and isinstance(state.q_obs, float)
+        if state.phi_obs > 9.0 and frame_map_full > 0.5:
+            return PolicyDecision(A3, "test")
+        return PolicyDecision(A2 if state.q_obs < 10.0 else A0, "test")
+
+
+def _net(actions, zero=False, near_tie=False):
+    net = QNetwork(16, actions, ctx_hidden=(8,), ctx_out=4, state_hidden=(16,),
+                   rng=np.random.default_rng(1))
+    if zero:
+        # every action ties exactly
+        for p in net.parameters():
+            p[:] = 0.0
+    if near_tie:
+        # the last two actions' values differ only by rounding, where a
+        # batched forward can order them differently from a batch-1 one
+        w, b = net.head.weights[-1], net.head.biases[-1]
+        w[2], b[2] = w[1], b[1]
+        w[2, 0] = np.nextafter(w[2, 0], np.inf)
+    return net
+
+
+def _policies(params):
+    return {
+        "local": LocalPolicy(),
+        "ragnostic": RAgnosticPolicy(params),
+        "oracle": OraclePolicy(params),
+        "drl": DrlPolicy(_net(params.action_set)),
+        "drl_tied": DrlPolicy(_net(params.action_set, zero=True)),
+        "drl_near_tie": DrlPolicy(_net(params.action_set, near_tie=True)),
+        "decide_only": _ProbeThreshold(),
+        # policies priced under their own system parameters, not the replay's
+        "ragnostic_own_params": RAgnosticPolicy(params.with_updates(l_th_ms=60.0)),
+        "oracle_own_params": OraclePolicy(
+            params.with_updates(action_set=(A0, A3), l_th_ms=60.0, map_th=0.6)),
+    }
+
+
+def _loop_report(policy, trace, channel, queue, params, seeds, reward_basis):
+    """EvalReport from a plain OffloadEnv reset/step loop, pooled step by step."""
+    env = OffloadEnv(trace, channel, queue, params, reward_basis=reward_basis)
+    steps = []
+    for seed in seeds:
+        state = env.reset(seed=seed)
+        while not env.done:
+            frame = trace.frames[env.frame_index]
+            result = env.step(policy.decide(state, frame.map_full).action)
+            steps.append((seed, result.frame_index, result.action, frame.map_full,
+                          result.realized_map, result.cost.e_total_j, result.deadline_met,
+                          result.reward))
+            state = result.next_state
+    n = len(steps)
+    actions = {}
+    for action in params.action_set:
+        chosen = [s for s in steps if s[2] == action]
+        stats = {"count": len(chosen), "freq_pct": 100.0 * len(chosen) / n,
+                 "amap_pct": math.nan, "realized_amap_pct": math.nan}
+        if chosen:
+            stats["amap_pct"] = 100.0 * float(np.mean([s[3] for s in chosen]))
+            stats["realized_amap_pct"] = 100.0 * float(np.mean([s[4] for s in chosen]))
+        actions[action.name] = stats
+    offloading = [s for s in steps if s[2].i > 0]
+    risky_pct = (100.0 * sum(s[3] < params.map_th for s in offloading) / len(offloading)
+                 if offloading else 0.0)
+    total_energy = sum(s[5] for s in steps) / len(seeds)
+    e_local = total_cost(params, A0, 1.0, 1.0, 0.0).e_total_j * len(trace)
+    return steps, {
+        "n_seeds": len(seeds),
+        "n_frames": len(trace),
+        "actions": actions,
+        "risky_pct": risky_pct,
+        "robust_pct": 100.0 - risky_pct,
+        "total_energy_j": total_energy,
+        "energy_reduction_pct": 100.0 * (1.0 - total_energy / e_local),
+        "deadline_miss_pct": 100.0 * sum(not s[6] for s in steps) / n,
+        "mean_reward": float(np.mean([s[7] for s in steps])),
+    }
+
+
+def _same(a, b):
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+@pytest.fixture(scope="module", params=[1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 1300])
+def replay_trace(request):
+    # one block, a full block, a block plus one frame, and several blocks
+    return generate_synthetic(GeneratorParams(), request.param, seed=request.param)
+
+
+@pytest.mark.parametrize("reward_basis", ["observed", "realized"])
+@pytest.mark.parametrize("policy_name",
+                         ["local", "ragnostic", "oracle", "drl", "drl_tied", "drl_near_tie", "decide_only",
+                          "ragnostic_own_params", "oracle_own_params"])
+def test_evaluate_equals_env_loop_record_for_record(replay_trace, reward_basis, policy_name):
+    params = SystemParams()
+    trace = replay_trace
+    channel, queue = ChannelModel(sigma=8.0), QueueModel(rho=0.97)
+    policy = _policies(params)[policy_name]
+    report = evaluate(policy, trace, channel, queue, params, seeds=[0, 1],
+                      reward_basis=reward_basis, keep_steps=True)
+    want_steps, want = _loop_report(policy, trace, channel, queue, params, [0, 1],
+                                    reward_basis)
+    got_steps = [(s.seed, s.frame_index, s.action, s.map_full, s.realized_map, s.e_total_j,
+                  s.deadline_met, s.reward) for s in report.steps]
+    assert got_steps == want_steps
+    assert report.policy == policy.name
+    for name, value in want.items():
+        if name == "actions":
+            for action_name, stats in value.items():
+                got = report.actions[action_name]
+                for field, v in stats.items():
+                    assert _same(getattr(got, field), v), (action_name, field)
+        else:
+            assert getattr(report, name) == value, name
+
+
+def test_evaluate_rejects_drl_action_outside_action_set_like_env_step(small_trace):
+    params = SystemParams()
+    trace = small_trace
+    net = _net((A0, Action(1), A3), zero=True)
+    net.head.biases[-1][:] = [0.0, 1.0, 0.0]
+    policy = DrlPolicy(net)
+    channel, queue = ChannelModel(sigma=8.0), QueueModel()
+    env = OffloadEnv(trace, channel, queue, params)
+    state = env.reset(seed=0)
+    with pytest.raises(ValueError) as loop:
+        env.step(policy.decide(state, trace.frames[0].map_full).action)
+    with pytest.raises(ValueError) as table:
+        evaluate(policy, trace, channel, queue, params, seeds=[0])
+    assert str(table.value) == str(loop.value) == "offload_1 is not in the configured action set"

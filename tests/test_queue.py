@@ -3,6 +3,7 @@ import pytest
 
 from offloadlab.queueing import (
     QueueModel,
+    delays_from_uniform,
     mean_delay_ms,
     mean_position,
     position_from_uniform,
@@ -95,3 +96,17 @@ def test_model_validation():
         QueueModel(cap=0)
     with pytest.raises(ValueError):
         QueueModel(t_service_ms=0.0)
+
+
+@pytest.mark.parametrize("rho", [0.9, 0.97, 0.99])
+def test_delays_from_uniform_match_scalar_at_slot_boundaries(rho):
+    # uniforms at and one ulp around the CDF steps, where a log rounded one
+    # ulp apart would move a draw into the neighbouring slot
+    model = QueueModel(rho=rho)
+    c = np.arange(0, 400, 7, dtype=float)
+    steps = -np.expm1((c + 1) * np.log(rho)) / -np.expm1((model.cap + 1) * np.log(rho))
+    u = np.concatenate([[0.0], steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0)])
+    u = u[u < 1.0]
+    want = [(position_from_uniform(rho, model.cap, x) + 1) * model.t_service_ms
+            for x in u.tolist()]
+    assert delays_from_uniform(model, u).tolist() == want
