@@ -178,16 +178,6 @@ def act(net: QNetwork, state: State, epsilon: float, rng: np.random.Generator | 
     return int(np.argmax(net.forward_state(state)))
 
 
-def ddqn_target(reward, next_state: State, online: QNetwork, target: QNetwork,
-                gamma: float, terminal: bool) -> float:
-    """Double estimator: online argmax, target value."""
-    if terminal:
-        return float(reward)
-    q_online = online.forward_state(next_state)
-    q_target = target.forward_state(next_state)
-    return float(reward + gamma * q_target[int(np.argmax(q_online))])
-
-
 class ReplayBuffer:
     """Fixed-capacity ring buffer over transitions."""
 
@@ -384,10 +374,12 @@ def load_checkpoint(path) -> QNetwork:
     if not lines or lines[0] != f"{CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION}":
         raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} v{CHECKPOINT_VERSION} checkpoint")
     header: dict[str, str] = {}
+    header_line: dict[str, int] = {}
     pos = 1
     while pos < len(lines) and not lines[pos].startswith("layer "):
         key, _, value = lines[pos].partition(" ")
         header[key] = value
+        header_line[key] = pos + 1
         pos += 1
     try:
         k = int(header["k"])
@@ -397,6 +389,9 @@ def load_checkpoint(path) -> QNetwork:
         q_norm = float(header["q_norm"])
     except (KeyError, ValueError) as exc:
         raise ValueError(f"{path}: malformed checkpoint header: {exc}") from None
+    for key, value in (("phi_max", phi_max), ("q_norm", q_norm)):
+        if not math.isfinite(value):
+            raise ValueError(f"{path}: line {header_line[key]}: {key} must be finite")
     layers: dict[str, list[tuple[np.ndarray, np.ndarray]]] = {"ctx": [], "head": []}
     while pos < len(lines) and lines[pos] != "end":
         parts = lines[pos].split()
@@ -416,11 +411,15 @@ def load_checkpoint(path) -> QNetwork:
                     f"{path}: line {pos + r + 1}: expected {cols} weights, got {len(vals)}"
                 )
             w[r] = [float(v) for v in vals]
+            if not np.isfinite(w[r]).all():
+                raise ValueError(f"{path}: line {pos + r + 1}: weights must be finite")
         pos += rows
         bvals = lines[pos].split()
         if len(bvals) != rows:
             raise ValueError(f"{path}: line {pos + 1}: expected {rows} biases, got {len(bvals)}")
         b = np.array([float(v) for v in bvals])
+        if not np.isfinite(b).all():
+            raise ValueError(f"{path}: line {pos + 1}: biases must be finite")
         pos += 1
         layers[name].append((w, b))
     if pos >= len(lines) or lines[pos] != "end":

@@ -295,12 +295,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    if "--dump-config" in argv:
-        argv = [a for a in argv if a != "--dump-config"]
-        argv = ["dump-config", *argv]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ConfigError, ValueError, KeyError, OSError, TrainingDiverged) as exc:

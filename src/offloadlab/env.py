@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelModel, sample_capacity
-from .cost import Action, CostBreakdown, SystemParams, total_cost
-from .queueing import QueueModel, sample_delay
+from .channel import ChannelModel, capacities_from_uniform
+from .cost import Action, CostBreakdown, SystemParams, cost_table, total_cost
+from .queueing import QueueModel, delays_from_uniform
 from .scenario import ScenarioTrace, local_subset_key, realized_map
 
 REWARD_BASES = ("observed", "realized")
@@ -34,6 +34,9 @@ CASE_ENERGY = "energy"
 # the energy branch counts an action as minimal within these tolerances
 RANK_REL_TOL = 1e-12
 RANK_ABS_TOL = 1e-15
+# frames per replay block: bounds the per-block tables and the batched drl
+# forward, so replay memory stays flat in the trace length
+BLOCK_FRAMES = 512
 
 
 @dataclass(frozen=True, slots=True)
@@ -128,20 +131,6 @@ def reward_table(
                     np.where(missed | ~minimal, p, 0.0))
 
 
-def compute_reward(
-    params: SystemParams,
-    reward_params: RewardParams,
-    map_full: float,
-    action: Action,
-    cost: CostBreakdown,
-    feasible_energies_j,
-    energy_for_rank_j: float | None = None,
-) -> float:
-    return reward_with_case(
-        params, reward_params, map_full, action, cost, feasible_energies_j, energy_for_rank_j
-    )[0]
-
-
 def check_replay(trace: ScenarioTrace, params: SystemParams, reward_basis: str) -> None:
     """Reject a trace, action set or reward basis that no replay can run on."""
     if len(trace) == 0:
@@ -158,13 +147,41 @@ def check_replay(trace: ScenarioTrace, params: SystemParams, reward_basis: str) 
             )
 
 
+def replay_blocks(trace: ScenarioTrace, channel: ChannelModel, queue: QueueModel,
+                  params: SystemParams, seed: int):
+    """The channel and queue draws of one replay of ``trace``, priced block by block.
+
+    Yields ``(t0, phi, q, latency_ms, energy_j)`` for each block of up to
+    ``BLOCK_FRAMES`` frames starting at frame ``t0``. Row ``r`` of a block is
+    the draw frame ``t0 + r`` observes (the probe it decides on) and the draw
+    frame ``t0 + r - 1`` realizes, so a block of ``m`` frames has ``m + 1``
+    rows and its first row is the previous block's last. ``latency_ms`` and
+    ``energy_j`` are the ``cost_table`` of the rows.
+
+    The stream is that of alternating ``sample_capacity`` / ``sample_delay``
+    calls on ``default_rng(seed)``, value for value: the reset probe takes
+    ``rng.random(2)`` and each block one ``rng.random(2m)``, whose even slots
+    give capacities through ``1 - u`` and whose odd slots give queue delays.
+    """
+    rng = np.random.default_rng(seed)
+    u = rng.random(2)
+    for t0 in range(0, len(trace), BLOCK_FRAMES):
+        m = min(BLOCK_FRAMES, len(trace) - t0)
+        u = np.concatenate([u[-2:], rng.random(2 * m)])
+        phi = capacities_from_uniform(channel, 1.0 - u[0::2])
+        q = delays_from_uniform(queue, u[1::2])
+        yield t0, phi, q, *cost_table(params, phi, q)
+
+
 class OffloadEnv:
     """Sequential decision process over one trace.
 
-    ``reward_basis`` selects the draw against which the energy branch ranks
-    actions: ``observed`` uses the probed (previous-frame) values the policy
-    decided on, ``realized`` uses the fresh draw the action experienced.
-    The deadline branch always judges the realized execution.
+    The episode walks the rows of ``replay_blocks``: frame ``t`` observes row
+    ``t`` and realizes row ``t + 1``. ``reward_basis`` selects the row against
+    which the energy branch ranks actions: ``observed`` uses the probed
+    (previous-frame) draw the policy decided on, ``realized`` uses the fresh
+    draw the action experienced. The deadline branch always judges the
+    realized execution.
     """
 
     def __init__(
@@ -183,7 +200,11 @@ class OffloadEnv:
         self.params = params
         self.reward_params = reward_params if reward_params is not None else RewardParams()
         self.reward_basis = reward_basis
-        self._rng: np.random.Generator | None = None
+        # offset of the ranked row from the frame's observed row
+        self._rank_offset = 1 if reward_basis == "realized" else 0
+        self._blocks = None
+        # the current block of replay_blocks, as lists
+        self._t0, self._phi, self._q, self._latency, self._energy = 0, [], [], [], []
         self._state: State | None = None
         self._t = 0
         self._done = True
@@ -202,49 +223,44 @@ class OffloadEnv:
             raise RuntimeError("environment not reset")
         return self._state
 
+    def _next_block(self) -> None:
+        t0, phi, q, latency, energy = next(self._blocks)
+        self._t0 = t0
+        self._phi, self._q = phi.tolist(), q.tolist()
+        self._latency, self._energy = latency.tolist(), energy.tolist()
+
     def reset(self, seed: int = 0) -> State:
-        self._rng = np.random.default_rng(seed)
+        self._blocks = replay_blocks(self.trace, self.channel, self.queue, self.params, seed)
+        self._next_block()
         self._t = 0
         self._done = False
-        phi0 = sample_capacity(self.channel, self._rng)
-        q0 = sample_delay(self.queue, self._rng)
-        self._state = State(self.trace.frames[0].features, phi0, q0)
+        self._state = State(self.trace.frames[0].features, self._phi[0], self._q[0])
         return self._state
 
-    def _feasible_energies(self, phi: float, q: float) -> dict[Action, CostBreakdown]:
-        out = {}
-        for action in self.params.action_set:
-            cb = total_cost(self.params, action, phi, phi, q)
-            if cb.l_total_ms <= self.params.l_th_ms:
-                out[action] = cb
-        return out
-
     def step(self, action: Action) -> StepResult:
-        if self._done or self._rng is None:
+        if self._done:
             raise RuntimeError("episode finished or not started; call reset()")
         if action not in self.params.action_set:
             raise ValueError(f"{action.name} is not in the configured action set")
+        row = self._t - self._t0
+        if row == len(self._phi) - 1:  # the block's last row opens the next block
+            self._next_block()
+            row = 0
         frame = self.trace.frames[self._t]
-        state = self._state
-        phi = sample_capacity(self.channel, self._rng)
-        q = sample_delay(self.queue, self._rng)
+        phi, q = self._phi[row + 1], self._q[row + 1]
         cost = total_cost(self.params, action, phi, phi, q)
         deadline_met = cost.l_total_ms <= self.params.l_th_ms
         r_map = realized_map(frame, action, deadline_met, self.params.offload_order)
-        if self.reward_basis == "realized":
-            feasible = self._feasible_energies(phi, q)
-            rank_e = cost.e_total_j
-        else:
-            feasible = self._feasible_energies(state.phi_obs, state.q_obs)
-            rank_e = total_cost(self.params, action, state.phi_obs, state.phi_obs, state.q_obs).e_total_j
+        rank = row + self._rank_offset
+        latency, energy = self._latency[rank], self._energy[rank]
         reward, case = reward_with_case(
             self.params,
             self.reward_params,
             frame.map_full,
             action,
             cost,
-            [cb.e_total_j for cb in feasible.values()],
-            rank_e,
+            [e for l, e in zip(latency, energy) if l <= self.params.l_th_ms],
+            energy[self.params.action_set.index(action)],
         )
         frame_index = self._t
         self._t += 1

@@ -11,16 +11,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import ChannelModel, capacities_from_uniform
+from .channel import ChannelModel
 from .cost import Action, SystemParams, cost_table, total_cost
-from .env import RewardParams, check_replay, reward_table
+from .env import RewardParams, check_replay, replay_blocks, reward_table
 from .policies import ObservationBlock, Policy
-from .queueing import QueueModel, delays_from_uniform
+from .queueing import QueueModel
 from .scenario import ScenarioTrace, local_subset_key
-
-# frames per replay block: bounds the per-block tables and the batched drl
-# forward, so replay memory stays flat in the trace length
-BLOCK_FRAMES = 512
 
 
 @dataclass(slots=True)
@@ -67,13 +63,6 @@ def _resolve_seeds(seeds) -> list[int]:
     return out
 
 
-def _draws(channel: ChannelModel, queue: QueueModel, rng: np.random.Generator, m: int):
-    """``m`` (capacity, delay) slots from one ``rng.random(2m)`` call: the
-    values of ``m`` alternating sample_capacity / sample_delay calls."""
-    u = rng.random(2 * m)
-    return capacities_from_uniform(channel, 1.0 - u[0::2]), delays_from_uniform(queue, u[1::2])
-
-
 def evaluate(
     policy: Policy,
     trace: ScenarioTrace,
@@ -89,13 +78,12 @@ def evaluate(
 
     A replay is open loop: no action changes the next state, which is the
     next frame plus a fresh channel and queue draw. So each seed is computed
-    as tables, ``BLOCK_FRAMES`` frames at a time: one uniform call per block
-    gives the draws ``OffloadEnv.reset``/``step`` would take from the same
-    seed, ``cost_table`` prices every action at them, the policy picks a
-    column per frame with ``decide_block``, and the reward and realized
-    quality follow as arrays. Every step record and report field equals that
-    of an ``OffloadEnv`` reset/step loop, so reports and sweeps written from
-    them are byte-identical.
+    as tables over the blocks of ``env.replay_blocks``, the draws and cost
+    tables that ``OffloadEnv.reset``/``step`` read for the same seed: the
+    policy picks a column per frame with ``decide_block``, and the reward and
+    realized quality follow as arrays. Every step record and report field
+    equals that of an ``OffloadEnv`` reset/step loop, so reports and sweeps
+    written from them are byte-identical.
 
     ``total_energy_j`` is the per-replay total (pooled energy divided by the
     seed count); ``energy_reduction_pct`` compares it against the all-local
@@ -115,21 +103,12 @@ def evaluate(
     energies = np.empty(n_steps)
     met = np.empty(n_steps, dtype=bool)
     rewards = np.empty(n_steps)
-    # table rows are draw slots: row t is frame t's observed draw and frame
-    # t-1's realized one, so a block of m frames spans m + 1 rows
+    # a block's row t is frame t's observed draw and row t + 1 its realized one
     observed, realized = slice(None, -1), slice(1, None)
     rank = realized if reward_basis == "realized" else observed
     for s, seed in enumerate(seed_list):
-        rng = np.random.default_rng(seed)
-        # the probe OffloadEnv.reset draws; each frame then draws its own slot
-        phi_last, q_last = _draws(channel, queue, rng, 1)
-        for t0 in range(0, n, BLOCK_FRAMES):
-            t1 = min(t0 + BLOCK_FRAMES, n)
-            phi, q = _draws(channel, queue, rng, t1 - t0)
-            phi = np.concatenate([phi_last, phi])
-            q = np.concatenate([q_last, q])
-            phi_last, q_last = phi[-1:], q[-1:]
-            latency, energy = cost_table(params, phi, q)
+        for t0, phi, q, latency, energy in replay_blocks(trace, channel, queue, params, seed):
+            t1 = t0 + len(phi) - 1
             frames, block_map = trace.frames[t0:t1], map_full[t0:t1]
             cols = policy.decide_block(ObservationBlock(
                 frames, phi[observed], q[observed], block_map, params,

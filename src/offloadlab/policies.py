@@ -28,31 +28,6 @@ class PolicyDecision:
     rationale_tag: str
 
 
-def local_policy(state: State | None = None) -> PolicyDecision:
-    """Never offload."""
-    return PolicyDecision(Action(0), TAG_LOCAL)
-
-
-def r_agnostic_policy(params: SystemParams, phi_obs: float, q_obs: float) -> PolicyDecision:
-    """Energy-greedy under the probed draw, blind to frame difficulty."""
-    action = min_energy_feasible(params, phi_obs, phi_obs, q_obs)
-    return PolicyDecision(action, TAG_ENERGY)
-
-
-def oracle_policy(
-    params: SystemParams, phi_obs: float, q_obs: float, frame_map_full: float
-) -> PolicyDecision:
-    """Energy-greedy, except it keeps low-confidence frames on the vehicle."""
-    if frame_map_full < params.map_th:
-        return PolicyDecision(Action(0), TAG_OVERRIDE)
-    return PolicyDecision(min_energy_feasible(params, phi_obs, phi_obs, q_obs), TAG_ENERGY)
-
-
-def drl_policy(net: QNetwork, state: State) -> PolicyDecision:
-    """Greedy over the learned action values."""
-    return PolicyDecision(net.actions[act(net, state, 0.0)], TAG_GREEDY)
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class ObservationBlock:
     """What a policy observes on consecutive frames of one replay.
@@ -124,23 +99,28 @@ class Policy:
 
 
 class LocalPolicy(Policy):
+    """Never offload."""
+
     name = "local"
 
     def decide(self, state, frame_map_full):
-        return local_policy(state)
+        return PolicyDecision(Action(0), TAG_LOCAL)
 
     def decide_block(self, block):
         return np.zeros(len(block), dtype=np.intp)
 
 
 class RAgnosticPolicy(Policy):
+    """Energy-greedy under the probed draw, blind to frame difficulty."""
+
     name = "ragnostic"
 
     def __init__(self, params: SystemParams):
         self.params = params
 
     def decide(self, state, frame_map_full):
-        return r_agnostic_policy(self.params, state.phi_obs, state.q_obs)
+        action = min_energy_feasible(self.params, state.phi_obs, state.phi_obs, state.q_obs)
+        return PolicyDecision(action, TAG_ENERGY)
 
     def decide_block(self, block):
         best = min_energy_columns(self.params, *block.costs(self.params))
@@ -148,13 +128,18 @@ class RAgnosticPolicy(Policy):
 
 
 class OraclePolicy(Policy):
+    """Energy-greedy, except it keeps low-confidence frames on the vehicle."""
+
     name = "oracle"
 
     def __init__(self, params: SystemParams):
         self.params = params
 
     def decide(self, state, frame_map_full):
-        return oracle_policy(self.params, state.phi_obs, state.q_obs, frame_map_full)
+        if frame_map_full < self.params.map_th:
+            return PolicyDecision(Action(0), TAG_OVERRIDE)
+        action = min_energy_feasible(self.params, state.phi_obs, state.phi_obs, state.q_obs)
+        return PolicyDecision(action, TAG_ENERGY)
 
     def decide_block(self, block):
         best = min_energy_columns(self.params, *block.costs(self.params))
@@ -169,13 +154,15 @@ NEAR_TIE_REL = 1e-9
 
 
 class DrlPolicy(Policy):
+    """Greedy over the learned action values."""
+
     name = "drl"
 
     def __init__(self, net: QNetwork):
         self.net = net
 
     def decide(self, state, frame_map_full):
-        return drl_policy(self.net, state)
+        return PolicyDecision(self.net.actions[act(self.net, state, 0.0)], TAG_GREEDY)
 
     def decide_block(self, block):
         values = self.net.forward(block.features(), block.phi_obs, block.q_obs)

@@ -12,6 +12,7 @@ losslessly through the loader.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -204,6 +205,9 @@ def load_trace(path, expected_subsets=None) -> ScenarioTrace:
                 values = [float(c) for c in cells]
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric cell") from None
+            if not all(map(math.isfinite, values[:k])):
+                j = next(j for j, v in enumerate(values) if not math.isfinite(v))
+                raise ValueError(f"{path}: line {lineno}: f{j} must be finite")
             scores = values[k:]
             for col, v in zip(header[k:], scores):
                 if not 0.0 <= v <= 1.0:

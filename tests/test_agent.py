@@ -7,7 +7,6 @@ from offloadlab.agent import (
     TrainConfig,
     TrainingDiverged,
     act,
-    ddqn_target,
     epsilon_at,
     load_checkpoint,
     save_checkpoint,
@@ -104,28 +103,42 @@ def test_act_exploration_is_uniform():
     assert counts.min() > 3000 / 3 * 0.85
 
 
+def _one_transition(s, action, reward, s_next, terminal):
+    buf = ReplayBuffer(capacity=1, k=len(s.features))
+    buf.push(s, action, reward, s_next, terminal)
+    return buf.sample(np.random.default_rng(0), 1)
+
+
 def test_ddqn_target_oracle():
+    # the online net picks index 1 for the next state, the target net prices
+    # it at 0.5: target 0 + 0.9 * 0.5 against the online value 1.0
     online = _zero_net()
     target = _zero_net()
     online.head.biases[-1][:] = [0.0, 1.0, 0.0]  # argmax at index 1
     target.head.biases[-1][:] = [9.0, 0.5, 9.0]
-    got = ddqn_target(0.0, _state(), online, target, gamma=0.9, terminal=False)
-    assert got == pytest.approx(0.45, rel=1e-12)
+    batch = _one_transition(_state(), 1, 0.0, _state(), False)
+    loss = train_step(online, target, batch, lr=1e-3, gamma=0.9)
+    assert loss == pytest.approx((1.0 - 0.45) ** 2, rel=1e-12)
 
 
 def test_ddqn_target_terminal_ignores_networks():
     online, target = _zero_net(), _zero_net()
+    online.head.biases[-1][:] = [0.0, 5.0, 0.0]
     target.head.biases[-1][:] = [100.0, 100.0, 100.0]
-    assert ddqn_target(-2.0, _state(), online, target, 0.9, True) == -2.0
+    batch = _one_transition(_state(), 0, -2.0, _state(), True)
+    assert train_step(online, target, batch, lr=1e-3, gamma=0.9) == 4.0
 
 
 def test_ddqn_equal_nets_reduce_to_q_learning():
     rng = np.random.default_rng(3)
     online = QNetwork(4, ACTIONS, rng=rng)
     target = online.clone()
-    s = _state(fill=0.3)
-    got = ddqn_target(0.1, s, online, target, 0.9, False)
-    assert got == pytest.approx(0.1 + 0.9 * online.forward_state(s).max(), rel=1e-12)
+    s, s_next = _state(fill=0.7), _state(fill=0.3)
+    want = 0.1 + 0.9 * online.forward_state(s_next).max()
+    err = online.forward_state(s)[2] - want
+    batch = _one_transition(s, 2, 0.1, s_next, False)
+    loss = train_step(online, target, batch, lr=1e-3, gamma=0.9)
+    assert loss == pytest.approx(err * err, rel=1e-12)
 
 
 def test_replay_buffer_ring_and_sampling():
@@ -300,3 +313,22 @@ def test_checkpoint_rejects_corruption(tmp_path):
     bad.write_text(text[: len(text) // 2])
     with pytest.raises(ValueError):
         load_checkpoint(bad)
+
+
+@pytest.mark.parametrize("lineno, what, cell", [
+    (5, "phi_max", "inf"),
+    (6, "q_norm", "nan"),
+    (9, "weights", "nan"),
+    (12, "biases", "-inf"),
+])
+def test_checkpoint_rejects_non_finite_values(tmp_path, lineno, what, cell):
+    net = QNetwork(3, ACTIONS, ctx_hidden=(4,), ctx_out=2, state_hidden=(8,), rng=np.random.default_rng(0))
+    path = tmp_path / "net.txt"
+    save_checkpoint(net, path)
+    lines = path.read_text().split("\n")
+    cells = lines[lineno - 1].split(" ")
+    cells[-1] = cell
+    lines[lineno - 1] = " ".join(cells)
+    path.write_text("\n".join(lines))
+    with pytest.raises(ValueError, match=f"line {lineno}: {what} must be finite"):
+        load_checkpoint(path)

@@ -231,11 +231,6 @@ def test_dump_config_subcommand(capsys):
     assert "l_th_ms = 68.12" in out
 
 
-def test_dump_config_flag_alias(capsys):
-    assert main(["--dump-config"]) == 0
-    assert "l_th_ms = 68.12" in capsys.readouterr().out
-
-
 def test_unknown_config_key_fails_cleanly(tmp_path, capsys):
     rc = main(["generate", "--out", str(tmp_path / "t.csv"), "--set", "nope=1"])
     assert rc == 1

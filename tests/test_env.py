@@ -3,7 +3,7 @@ import pytest
 
 from offloadlab.channel import ChannelModel, sample_capacity
 from offloadlab.cost import Action, CostBreakdown, SystemParams, total_cost
-from offloadlab.env import OffloadEnv, RewardParams, State, compute_reward, reward_with_case
+from offloadlab.env import REWARD_BASES, OffloadEnv, RewardParams, reward_with_case
 from offloadlab.queueing import QueueModel, sample_delay
 from offloadlab.scenario import GeneratorParams, generate_synthetic
 
@@ -45,13 +45,14 @@ def test_reward_energy_case_requires_minimum(params):
 
 def test_reward_full_offload_uncertainty_penalty(params):
     # P/(N-i) with i=3 pipelines offloaded is the whole penalty
-    assert compute_reward(params, RP, 0.40, A3, _cost(50.0), [0.3]) == -2.0
+    assert reward_with_case(params, RP, 0.40, A3, _cost(50.0), [0.3])[0] == -2.0
 
 
 def test_reward_rank_energy_override(params):
     # the chosen action's energy may be ranked at a different draw than the
     # realized one; the override carries that value
-    r = compute_reward(params, RP, 0.80, A3, _cost(50.0, 0.9), [0.2, 0.3], energy_for_rank_j=0.2)
+    r = reward_with_case(params, RP, 0.80, A3, _cost(50.0, 0.9), [0.2, 0.3],
+                         energy_for_rank_j=0.2)[0]
     assert r == 0.0
 
 
@@ -126,20 +127,36 @@ def test_step_sequence_deterministic(small_trace):
     assert seq[0] == seq[1]
 
 
-def test_observations_lag_realized_draws(small_trace):
-    # the draw an action experiences becomes the next decision's probe
-    env = _env(small_trace)
-    env.reset(seed=9)
+@pytest.mark.parametrize("basis", REWARD_BASES)
+def test_observations_lag_realized_draws(basis):
+    # the draw an action experiences becomes the next decision's probe; a
+    # 1300-frame episode crosses the replay's block edges at 512 and 1024,
+    # and every step matches alternating scalar draws on the same seed
+    trace = generate_synthetic(GeneratorParams(), 1300, seed=5)
+    env = _env(trace, basis=basis)
+    p = env.params
+    state = env.reset(seed=9)
     rng = np.random.default_rng(9)
-    sample_capacity(env.channel, rng)
-    sample_delay(env.queue, rng)
-    for _ in range(10):
-        res = env.step(A2)
+    assert state.phi_obs == sample_capacity(env.channel, rng)
+    assert state.q_obs == sample_delay(env.queue, rng)
+    while not env.done:
+        action = p.action_set[env.frame_index % len(p.action_set)]
+        res = env.step(action)
         phi = sample_capacity(env.channel, rng)
         q = sample_delay(env.queue, rng)
-        assert res.cost.l_server_ms == q
+        assert res.cost.l_server_ms == (q if action.i > 0 else 0.0)
+        assert res.cost == total_cost(p, action, phi, phi, q)
         assert res.next_state.phi_obs == phi
         assert res.next_state.q_obs == q
+        rank_phi, rank_q = (phi, q) if basis == "realized" else (state.phi_obs, state.q_obs)
+        rank = [total_cost(p, a, rank_phi, rank_phi, rank_q) for a in p.action_set]
+        feasible = [cb.e_total_j for cb in rank if cb.l_total_ms <= p.l_th_ms]
+        frame = trace.frames[res.frame_index]
+        want = reward_with_case(p, RP, frame.map_full, action, res.cost, feasible,
+                                rank[p.action_set.index(action)].e_total_j)
+        assert (res.reward, res.reward_case) == want
+        state = res.next_state
+    assert res.frame_index == len(trace) - 1
 
 
 def test_local_action_costs_are_seed_invariant(small_trace):

@@ -7,9 +7,8 @@ import pytest
 from offloadlab.agent import QNetwork
 from offloadlab.channel import ChannelModel
 from offloadlab.cost import Action, SystemParams, total_cost
-from offloadlab.env import OffloadEnv
+from offloadlab.env import BLOCK_FRAMES, OffloadEnv
 from offloadlab.metrics import (
-    BLOCK_FRAMES,
     evaluate,
     eval_report_header,
     eval_report_row,

@@ -4,64 +4,62 @@ import pytest
 from offloadlab.agent import QNetwork, act
 from offloadlab.cost import Action, SystemParams
 from offloadlab.env import State
-from offloadlab.policies import (
-    DrlPolicy,
-    LocalPolicy,
-    OraclePolicy,
-    RAgnosticPolicy,
-    drl_policy,
-    local_policy,
-    make_policy,
-    oracle_policy,
-    r_agnostic_policy,
-)
+from offloadlab.policies import DrlPolicy, LocalPolicy, OraclePolicy, RAgnosticPolicy, make_policy
 
 A0, A2, A3 = Action(0), Action(2), Action(3)
 
 
+def _obs(phi, q):
+    return State(np.zeros(4), phi, q)
+
+
 def test_local_policy_is_constant():
-    d = local_policy()
+    d = LocalPolicy().decide(_obs(8.0, 15.0), 0.9)
     assert d.action == A0
     assert d.rationale_tag == "local_fixed"
 
 
 def test_r_agnostic_follows_energy_minimum(params):
-    assert r_agnostic_policy(params, 8.0, 15.0).action == A3
-    assert r_agnostic_policy(params, 2.0, 15.0).action == A0
-    assert r_agnostic_policy(params, 5.5, 15.0).action == A2
+    pol = RAgnosticPolicy(params)
+    assert pol.decide(_obs(8.0, 15.0), 0.9).action == A3
+    assert pol.decide(_obs(2.0, 15.0), 0.9).action == A0
+    assert pol.decide(_obs(5.5, 15.0), 0.9).action == A2
 
 
 def test_r_agnostic_ignores_frame_content(params):
-    # the decision is a pure function of the observations
+    # the decision depends on the probed draw only, not on the frame
+    pol = RAgnosticPolicy(params)
     rng = np.random.default_rng(0)
     for _ in range(200):
         phi = rng.uniform(0.5, 20.0)
         q = rng.uniform(0.0, 80.0)
-        assert r_agnostic_policy(params, phi, q) == r_agnostic_policy(params, phi, q)
+        hard, easy = State(rng.normal(size=4), phi, q), State(rng.normal(size=4), phi, q)
+        assert pol.decide(hard, 0.1) == pol.decide(easy, 0.9)
 
 
 def test_oracle_overrides_on_hard_frames(params):
-    d = oracle_policy(params, 10.0, 1.0, frame_map_full=0.50)
+    pol = OraclePolicy(params)
+    d = pol.decide(_obs(10.0, 1.0), frame_map_full=0.50)
     assert d.action == A0
     assert d.rationale_tag == "robustness_override"
-    assert oracle_policy(params, 10.0, 1.0, frame_map_full=0.90).action == A3
-    assert oracle_policy(params, 2.0, 1.0, frame_map_full=0.90).action == A0
+    assert pol.decide(_obs(10.0, 1.0), frame_map_full=0.90).action == A3
+    assert pol.decide(_obs(2.0, 1.0), frame_map_full=0.90).action == A0
 
 
 def test_oracle_threshold_is_strict(params):
     # exactly at the threshold counts as confident
-    d = oracle_policy(params, 10.0, 1.0, frame_map_full=params.map_th)
+    d = OraclePolicy(params).decide(_obs(10.0, 1.0), frame_map_full=params.map_th)
     assert d.rationale_tag != "robustness_override"
 
 
 def test_oracle_equals_r_agnostic_at_zero_threshold():
     p = SystemParams(map_th=0.0)
+    oracle, ragnostic = OraclePolicy(p), RAgnosticPolicy(p)
     rng = np.random.default_rng(1)
     for _ in range(300):
-        phi = rng.uniform(0.5, 20.0)
-        q = rng.uniform(0.0, 80.0)
+        s = _obs(rng.uniform(0.5, 20.0), rng.uniform(0.0, 80.0))
         m = rng.uniform(0.0, 1.0)
-        assert oracle_policy(p, phi, q, m).action == r_agnostic_policy(p, phi, q).action
+        assert oracle.decide(s, m).action == ragnostic.decide(s, m).action
 
 
 def _greedy_net():
@@ -75,7 +73,7 @@ def _greedy_net():
 def test_drl_policy_is_greedy():
     net = _greedy_net()
     s = State(np.zeros(4), 8.0, 15.0)
-    d = drl_policy(net, s)
+    d = DrlPolicy(net).decide(s, 0.5)
     assert d.action == A3
     assert d.rationale_tag == "q_greedy"
     assert d.action == net.actions[act(net, s, 0.0)]

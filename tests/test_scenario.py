@@ -109,6 +109,14 @@ def test_load_rejects_unparsable_field(tmp_path):
         load_trace(path)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_load_rejects_non_finite_features(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"f0,f1,map_full,map_radar\n0.1,0.2,0.5,0.4\n0.1,{cell},0.5,0.4\n")
+    with pytest.raises(ValueError, match="line 3: f1 must be finite"):
+        load_trace(path)
+
+
 def test_load_can_require_subsets(tmp_path, small_trace):
     path = tmp_path / "trace.csv"
     save_trace(small_trace, path)
