@@ -10,16 +10,20 @@ for the next state, the slow-moving target network prices it.
 from __future__ import annotations
 
 import math
+import os
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
 from .cost import Action
 from .env import State
-from .nn import MLP, Adam, sgd_step
+from .nn import MLP, Adam, param_count, sgd_step
 
 CHECKPOINT_MAGIC = "offloadlab-qnet"
 CHECKPOINT_VERSION = 1
+# losses a TrainingDiverged message ends with
+DIVERGED_LOSSES_SHOWN = 5
 
 
 class TrainingDiverged(RuntimeError):
@@ -100,8 +104,16 @@ class QNetwork:
         self.ctx_out = int(ctx_out)
         self.phi_max = float(phi_max)
         self.q_norm = float(q_norm)
-        self.ctx = MLP([self.k, *ctx_hidden, self.ctx_out], rng, out_relu=True)
-        self.head = MLP([self.ctx_out + 2, *state_hidden, len(actions)], rng)
+        ctx_sizes = [self.k, *ctx_hidden, self.ctx_out]
+        head_sizes = [self.ctx_out + 2, *state_hidden, len(actions)]
+        # one flat parameter vector in ``parameters()`` order (ctx, then head)
+        # and one gradient vector of the same layout; every layer is a view
+        split = param_count(ctx_sizes)
+        self.theta = np.empty(split + param_count(head_sizes))
+        self.grad = np.zeros_like(self.theta)
+        self.ctx = MLP(ctx_sizes, rng, out_relu=True,
+                       theta=self.theta[:split], grad=self.grad[:split])
+        self.head = MLP(head_sizes, rng, theta=self.theta[split:], grad=self.grad[split:])
 
     @property
     def n_actions(self) -> int:
@@ -132,17 +144,13 @@ class QNetwork:
         out, head_cache = self.head.forward_cache(x)
         return out, (ctx_cache, head_cache)
 
-    def backward(self, cache, grad_out: np.ndarray) -> list[np.ndarray]:
-        """Parameter gradients in the order of ``parameters()``."""
+    def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
+        """Parameter gradients, written into and returned as the flat ``grad``
+        (the layout of ``theta``)."""
         ctx_cache, head_cache = cache
-        hw, hb, gx = self.head.backward(head_cache, grad_out)
-        cw, cb, _ = self.ctx.backward(ctx_cache, gx[:, : self.ctx_out])
-        grads: list[np.ndarray] = []
-        for w, b in zip(cw, cb):
-            grads.extend((w, b))
-        for w, b in zip(hw, hb):
-            grads.extend((w, b))
-        return grads
+        _, _, gx = self.head.backward(head_cache, grad_out)
+        self.ctx.backward(ctx_cache, gx[:, : self.ctx_out])
+        return self.grad
 
     def parameters(self) -> list[np.ndarray]:
         return self.ctx.parameters() + self.head.parameters()
@@ -161,8 +169,9 @@ class QNetwork:
         return other
 
     def copy_from(self, other: "QNetwork") -> None:
-        self.ctx.copy_from(other.ctx)
-        self.head.copy_from(other.head)
+        if (self.ctx.sizes, self.head.sizes) != (other.ctx.sizes, other.head.sizes):
+            raise ValueError("architecture mismatch")
+        self.theta[...] = other.theta
 
 
 def act(net: QNetwork, state: State, epsilon: float, rng: np.random.Generator | None = None) -> int:
@@ -233,6 +242,13 @@ class ReplayBuffer:
         }
 
 
+def _first_rows(cache, n: int):
+    """The ``QNetwork.forward_cache`` cache of the first ``n`` batch rows, as views."""
+    return tuple(
+        tuple([a[:n] for a in arrays] for arrays in mlp_cache) for mlp_cache in cache
+    )
+
+
 def train_step(online: QNetwork, target: QNetwork, batch: dict, lr: float,
                gamma: float, optimizer: Adam | None = None) -> float:
     """One gradient step on the mean squared TD error of the taken actions.
@@ -240,22 +256,27 @@ def train_step(online: QNetwork, target: QNetwork, batch: dict, lr: float,
     Plain gradient descent at ``lr`` unless an optimizer instance is given.
     Returns the pre-step loss.
     """
-    rows = np.arange(len(batch["action"]))
-    q_next_online = online.forward(batch["next_features"], batch["next_phi"], batch["next_q"])
+    n = len(batch["action"])
+    rows = np.arange(n)
+    # one online pass over the current states stacked on the next states
+    q_online, cache = online.forward_cache(
+        *(np.concatenate([batch[key], batch["next_" + key]]) for key in ("features", "phi", "q"))
+    )
+    q_pred, q_next_online = q_online[:n], q_online[n:]
     q_next_target = target.forward(batch["next_features"], batch["next_phi"], batch["next_q"])
     best = np.argmax(q_next_online, axis=1)
     targets = batch["reward"] + gamma * (1.0 - batch["terminal"]) * q_next_target[rows, best]
-    q_pred, cache = online.forward_cache(batch["features"], batch["phi"], batch["q"])
     taken = q_pred[rows, batch["action"]]
     diff = taken - targets
     loss = float(np.mean(diff * diff))
     grad_out = np.zeros_like(q_pred)
     grad_out[rows, batch["action"]] = 2.0 * diff / len(rows)
-    grads = online.backward(cache, grad_out)
+    # backpropagate through the current-state rows of the cache only
+    grad = online.backward(_first_rows(cache, n), grad_out)
     if optimizer is not None:
-        optimizer.step(online.parameters(), grads)
+        optimizer.step([online.theta], [grad])
     else:
-        sgd_step(online.parameters(), grads, lr)
+        sgd_step([online.theta], [grad], lr)
     return loss
 
 
@@ -297,6 +318,7 @@ def train(env_factory, config: TrainConfig) -> tuple[QNetwork, list[EpisodeLog]]
     logs: list[EpisodeLog] = []
     step = 0
     high_loss_run = 0
+    recent_losses: deque[float] = deque(maxlen=DIVERGED_LOSSES_SHOWN)
     for episode in range(config.episodes):
         if episode > 0:
             env = env_factory(episode)
@@ -312,16 +334,19 @@ def train(env_factory, config: TrainConfig) -> tuple[QNetwork, list[EpisodeLog]]
                 loss = train_step(net, target, buffer.sample(sample_rng, config.batch_size),
                                   config.lr, config.gamma, optimizer)
                 losses.append(loss)
+                recent_losses.append(loss)
                 if not math.isfinite(loss):
                     raise TrainingDiverged(
-                        f"non-finite loss at step {step} (episode {episode})"
+                        f"non-finite loss at step {step} (episode {episode}); "
+                        f"last losses {list(recent_losses)!r}"
                     )
                 if loss > config.loss_ceiling:
                     high_loss_run += 1
                     if high_loss_run >= config.loss_patience:
                         raise TrainingDiverged(
                             f"loss above {config.loss_ceiling} for "
-                            f"{config.loss_patience} consecutive steps at step {step}"
+                            f"{config.loss_patience} consecutive steps at step {step}; "
+                            f"last losses {list(recent_losses)!r}"
                         )
                 else:
                     high_loss_run = 0
@@ -340,11 +365,27 @@ def train(env_factory, config: TrainConfig) -> tuple[QNetwork, list[EpisodeLog]]
     return net, logs
 
 
+def _write_atomic(path, write) -> None:
+    """Run ``write(fh)`` on a temp file beside ``path``, then move it onto
+    ``path``: a failed write leaves any existing file untouched."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            write(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
+
+
 def write_training_log(logs, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    def write(fh):
         fh.write("episode,mean_reward,mean_loss,epsilon\n")
         for row in logs:
             fh.write(f"{row.episode},{row.mean_reward!r},{row.mean_loss!r},{row.epsilon!r}\n")
+
+    _write_atomic(path, write)
 
 
 def save_checkpoint(net: QNetwork, path) -> None:
@@ -364,8 +405,29 @@ def save_checkpoint(net: QNetwork, path) -> None:
                 lines.append(" ".join(repr(float(v)) for v in row))
             lines.append(" ".join(repr(float(v)) for v in b))
     lines.append("end")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))
+
+
+def _cells(path, lineno: int, what: str, cells) -> np.ndarray:
+    values = []
+    for cell in cells:
+        try:
+            values.append(float(cell))
+        except ValueError:
+            raise ValueError(f"{path}: line {lineno}: {what} must be numbers, got {cell!r}") from None
+    return np.array(values)
+
+
+def _marker_int(path, lineno: int, field: str, cell: str) -> int:
+    try:
+        value = int(cell)
+    except ValueError:
+        raise ValueError(
+            f"{path}: line {lineno}: layer {field} must be an integer, got {cell!r}"
+        ) from None
+    if field != "index" and value < 1:
+        raise ValueError(f"{path}: line {lineno}: layer {field} must be positive, got {value}")
+    return value
 
 
 def load_checkpoint(path) -> QNetwork:
@@ -397,7 +459,9 @@ def load_checkpoint(path) -> QNetwork:
         parts = lines[pos].split()
         if len(parts) != 5 or parts[0] != "layer" or parts[1] not in layers:
             raise ValueError(f"{path}: line {pos + 1}: expected a layer marker")
-        name, li, rows, cols = parts[1], int(parts[2]), int(parts[3]), int(parts[4])
+        name = parts[1]
+        li, rows, cols = (_marker_int(path, pos + 1, field, cell)
+                          for field, cell in zip(("index", "rows", "cols"), parts[2:]))
         if li != len(layers[name]):
             raise ValueError(f"{path}: line {pos + 1}: layer {name} {li} out of order")
         pos += 1
@@ -410,14 +474,14 @@ def load_checkpoint(path) -> QNetwork:
                 raise ValueError(
                     f"{path}: line {pos + r + 1}: expected {cols} weights, got {len(vals)}"
                 )
-            w[r] = [float(v) for v in vals]
+            w[r] = _cells(path, pos + r + 1, "weights", vals)
             if not np.isfinite(w[r]).all():
                 raise ValueError(f"{path}: line {pos + r + 1}: weights must be finite")
         pos += rows
         bvals = lines[pos].split()
         if len(bvals) != rows:
             raise ValueError(f"{path}: line {pos + 1}: expected {rows} biases, got {len(bvals)}")
-        b = np.array([float(v) for v in bvals])
+        b = _cells(path, pos + 1, "biases", bvals)
         if not np.isfinite(b).all():
             raise ValueError(f"{path}: line {pos + 1}: biases must be finite")
         pos += 1

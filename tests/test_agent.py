@@ -332,3 +332,63 @@ def test_checkpoint_rejects_non_finite_values(tmp_path, lineno, what, cell):
     path.write_text("\n".join(lines))
     with pytest.raises(ValueError, match=f"line {lineno}: {what} must be finite"):
         load_checkpoint(path)
+
+
+def _shares_theta(net):
+    views = net.parameters() + [net.ctx.theta, net.head.theta]
+    return all(np.shares_memory(p, net.theta) for p in views)
+
+
+def test_every_weight_and_bias_is_a_view_into_theta(tmp_path):
+    net = QNetwork(6, ACTIONS, ctx_hidden=(8,), ctx_out=4, state_hidden=(16, 16),
+                   rng=np.random.default_rng(2))
+    # theta holds parameters() back to back: ctx then head, W row-major then b
+    np.testing.assert_array_equal(net.theta, np.concatenate([p.ravel() for p in net.parameters()]))
+    path = tmp_path / "net.txt"
+    save_checkpoint(net, path)
+    for other in (net, net.clone(), load_checkpoint(path)):
+        assert _shares_theta(other)
+        assert other.theta.flags.c_contiguous and other.grad.shape == other.theta.shape
+        np.testing.assert_array_equal(other.theta, net.theta)
+    clone = net.clone()
+    assert not np.shares_memory(clone.theta, net.theta)
+    clone.head.biases[-1][:] += 1.0
+    assert clone.theta[-1] == net.theta[-1] + 1.0
+
+
+def test_copy_from_checks_the_architecture():
+    net = QNetwork(4, ACTIONS, rng=np.random.default_rng(0))
+    with pytest.raises(ValueError, match="architecture mismatch"):
+        net.copy_from(QNetwork(4, ACTIONS, state_hidden=(64, 32)))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_stacked_forward_equals_two_half_forwards(seed):
+    # train_step prices current and next states in one 128-row online pass;
+    # that is bit-exact only if a row's Q values do not depend on the others
+    rng = np.random.default_rng(seed)
+    net = QNetwork(16, ACTIONS, rng=rng)
+    for p in net.parameters():
+        p += rng.normal(0.0, 0.1, p.shape)
+    features = rng.normal(size=(128, 16))
+    phi = rng.uniform(0.1, 20.0, 128)
+    q = rng.uniform(0.0, 80.0, 128)
+    both = net.forward(features, phi, q)
+    halves = [net.forward(features[s], phi[s], q[s]) for s in (slice(0, 64), slice(64, 128))]
+    np.testing.assert_array_equal(both, np.concatenate(halves))
+
+
+def test_failed_write_leaves_existing_output_intact(tmp_path):
+    _, logs = train(_tiny_env_factory(), _tiny_config())
+    path = tmp_path / "log.csv"
+    write_training_log(logs, path)
+    before = path.read_bytes()
+
+    def failing_rows():
+        yield logs[0]
+        raise OSError("disk full")
+
+    with pytest.raises(OSError, match="disk full"):
+        write_training_log(failing_rows(), path)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv"]

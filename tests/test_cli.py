@@ -1,4 +1,6 @@
+import hashlib
 import json
+import re
 import subprocess
 import sys
 
@@ -42,8 +44,6 @@ def test_generate_writes_manifest(tmp_path):
     assert manifest["command"] == "generate"
     assert manifest["seeds"] == [7]
     assert manifest["config"]["scenario.n_frames"] == 120
-    import hashlib
-
     digest = hashlib.sha256(out.read_bytes()).hexdigest()
     assert manifest["outputs"][str(out)] == digest
 
@@ -110,6 +110,28 @@ def test_train_reruns_are_byte_identical(tmp_path):
     b = _train(tmp_path, trace, "b.txt")
     assert a.read_bytes() == b.read_bytes()
     assert (tmp_path / "a.txt.log.csv").read_bytes() == (tmp_path / "b.txt.log.csv").read_bytes()
+
+
+# sha256 of the TINY run's checkpoint and training log; they pin the training
+# arithmetic (forward, backward, optimizer) bit for bit
+TRAIN_SHA256 = {
+    "adam": ("f8da336a9717affa615b8d2679e8ed42e213c3169f53591799342ad3c13ddfe0",
+             "1f8a44f4211f2199bb3173d6409b6222629ef92205faa14942e521c40caba588"),
+    "sgd": ("e1d83028bbd1264b87cc5713129ec5a5be62aacc9a823673b1ea4950f02821fa",
+            "6081a5ac31ae02f8744c7f65e0668a940fb3ab67fbff9541e440e66aa9a07801"),
+}
+
+
+@pytest.mark.parametrize("optimizer", sorted(TRAIN_SHA256))
+def test_train_outputs_match_pinned_sha256(tmp_path, capsys, optimizer):
+    trace = _gen(tmp_path)
+    ckpt = tmp_path / "net.txt"
+    assert main(["train", "--trace", str(trace), "--out", str(ckpt), *TINY,
+                 "--set", f"train.optimizer={optimizer}"]) == 0
+    got = tuple(hashlib.sha256(p.read_bytes()).hexdigest()
+                for p in (ckpt, tmp_path / "net.txt.log.csv"))
+    assert got == TRAIN_SHA256[optimizer]
+    capsys.readouterr()
 
 
 def test_train_missing_trace(tmp_path, capsys):
@@ -180,6 +202,33 @@ def test_eval_drl_rejects_checkpoint_that_disagrees_with_run(tmp_path, capsys, m
     assert not out.exists()
 
 
+@pytest.mark.parametrize("lineno, cell, what", [
+    (7, 2, "layer index must be an integer"),
+    (7, 3, "layer rows must be an integer"),
+    (7, 4, "layer cols must be an integer"),
+    (9, 1, "weights must be numbers"),
+    (12, 2, "biases must be numbers"),
+])
+def test_checkpoint_with_non_numeric_cell_names_its_line(tmp_path, capsys, lineno, cell, what):
+    # header on lines 1-6, then "layer ctx 0 4 6", four weight rows, biases
+    trace = _gen(tmp_path)
+    ckpt = tmp_path / "net.txt"
+    save_checkpoint(QNetwork(6, (0, 2, 3), ctx_hidden=(4,), ctx_out=2, state_hidden=(8,),
+                             rng=np.random.default_rng(0)), ckpt)
+    lines = ckpt.read_text().split("\n")
+    cells = lines[lineno - 1].split(" ")
+    cells[cell] = "x"
+    lines[lineno - 1] = " ".join(cells)
+    ckpt.write_text("\n".join(lines))
+    want = f"{ckpt}: line {lineno}: {what}, got 'x'"
+    with pytest.raises(ValueError, match=re.escape(want)):
+        load_checkpoint(ckpt)
+    rc = main(["eval", "--trace", str(trace), "--policy", "drl", "--checkpoint", str(ckpt),
+               "--out", str(tmp_path / "r.csv"), "--seeds", "0"])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: eval: {want}\n"
+
+
 def test_train_divergence_is_a_one_line_error(tmp_path, capsys):
     trace = _gen(tmp_path)
     ckpt = tmp_path / "net.txt"
@@ -189,6 +238,10 @@ def test_train_divergence_is_a_one_line_error(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: train: loss above 1e-09 for 1 consecutive steps")
     assert err.count("\n") == 1
+    # the message ends with the last losses, as a list of float reprs
+    losses = re.search(r"; last losses \[(.*)\]$", err.rstrip("\n")).group(1).split(", ")
+    assert 1 <= len(losses) <= 5
+    assert all(float(v) > 1e-9 for v in losses)
     assert not ckpt.exists()
 
 

@@ -3,7 +3,14 @@ import pytest
 
 from offloadlab.channel import ChannelModel, sample_capacity
 from offloadlab.cost import Action, CostBreakdown, SystemParams, total_cost
-from offloadlab.env import REWARD_BASES, OffloadEnv, RewardParams, reward_with_case
+from offloadlab.env import (
+    BLOCK_FRAMES,
+    REWARD_BASES,
+    OffloadEnv,
+    RewardParams,
+    replay_blocks,
+    reward_with_case,
+)
 from offloadlab.queueing import QueueModel, sample_delay
 from offloadlab.scenario import GeneratorParams, generate_synthetic
 
@@ -157,6 +164,24 @@ def test_observations_lag_realized_draws(basis):
         assert (res.reward, res.reward_case) == want
         state = res.next_state
     assert res.frame_index == len(trace) - 1
+
+
+def test_replay_blocks_follow_the_scalar_stream_across_block_edges(params, channel, queue):
+    # row r of the block at t0 is draw t0 + r of alternating scalar draws, and
+    # each block opens on the row the previous block ended with
+    trace = generate_synthetic(GeneratorParams(), 1300, seed=5)
+    rng = np.random.default_rng(9)
+    draws = [(sample_capacity(channel, rng), sample_delay(queue, rng)) for _ in range(1301)]
+    phi_want, q_want = (np.array(col) for col in zip(*draws))
+    blocks = list(replay_blocks(trace, channel, queue, params, seed=9))
+    assert [b[0] for b in blocks] == [0, BLOCK_FRAMES, 2 * BLOCK_FRAMES]
+    for i, (t0, phi, q, latency, energy) in enumerate(blocks):
+        m = min(BLOCK_FRAMES, len(trace) - t0)
+        assert len(phi) == len(q) == len(latency) == len(energy) == m + 1
+        np.testing.assert_array_equal(phi, phi_want[t0 : t0 + m + 1])
+        np.testing.assert_array_equal(q, q_want[t0 : t0 + m + 1])
+        if i > 0:
+            assert (phi[0], q[0]) == (blocks[i - 1][1][-1], blocks[i - 1][2][-1])
 
 
 def test_local_action_costs_are_seed_invariant(small_trace):

@@ -137,10 +137,38 @@ def test_adam_state_tracks_parameters():
     assert abs(params[0][0] - 2.0) < 1.0
 
 
+def test_adam_matches_the_textbook_update_bit_for_bit():
+    # the in-place update keeps the textbook expression's operation order
+    rng = np.random.default_rng(3)
+    p = rng.normal(size=1000)
+    want, m, v = p.copy(), np.zeros(1000), np.zeros(1000)
+    opt = Adam(lr=1e-3)
+    for t in range(1, 21):
+        g = rng.normal(size=1000)
+        opt.step([p], [g])
+        m = 0.9 * m + (1.0 - 0.9) * g
+        v = 0.999 * v + (1.0 - 0.999) * (g * g)
+        want -= 1e-3 * (m / (1.0 - 0.9**t)) / (np.sqrt(v / (1.0 - 0.999**t)) + 1e-8)
+        np.testing.assert_array_equal(p, want)
+
+
 def test_parameters_are_live_views():
     net = MLP([2, 2], np.random.default_rng(0))
     net.parameters()[0][:] = 0.0
     np.testing.assert_array_equal(net.weights[0], np.zeros((2, 2)))
+
+
+def test_layers_are_views_into_theta_and_grad():
+    rng = np.random.default_rng(0)
+    net = MLP([3, 4, 2], rng)
+    assert net.theta.shape == net.grad.shape == (3 * 4 + 4 + 4 * 2 + 2,)
+    np.testing.assert_array_equal(net.theta, np.concatenate([p.ravel() for p in net.parameters()]))
+    out, cache = net.forward_cache(rng.normal(size=(5, 3)))
+    grad_w, grad_b, _ = net.backward(cache, np.ones_like(out))
+    for g in grad_w + grad_b:
+        assert np.shares_memory(g, net.grad)
+    np.testing.assert_array_equal(net.grad, np.concatenate(
+        [a.ravel() for w, b in zip(grad_w, grad_b) for a in (w, b)]))
 
 
 def test_copy_from_detaches_storage():
