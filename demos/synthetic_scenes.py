@@ -15,9 +15,9 @@ import numpy as np
 from offloadlab import GeneratorParams, generate_synthetic, load_trace, save_trace
 
 trace = generate_synthetic(GeneratorParams(), n_frames=2000, seed=7)
-full = trace.map_full_values()
+full = trace.map_full
 
-print(f"{len(trace.frames)} frames, feature dim {trace.k}")
+print(f"{len(trace)} frames, feature dim {trace.k}")
 print(f"full-fusion quality: mean {full.mean():.4f}, min {full.min():.4f},"
       f" max {full.max():.4f}")
 print(f"lag-1 autocorrelation {np.corrcoef(full[:-1], full[1:])[0, 1]:.3f}"
@@ -26,10 +26,9 @@ print()
 
 # partial scores are what the server can produce when some pipelines stay on
 # the vehicle; dropping sensors never helps quality
-frame = trace.frames[0]
 print("frame 0 quality by fused subset:")
-print(f"  full stack    {frame.map_full:.4f}")
-for name, val in sorted(frame.map_partial.items()):
+print(f"  full stack    {full[0]:.4f}")
+for name, val in sorted(zip(trace.partial_keys, trace.map_partial[0])):
     print(f"  {name:12s}  {val:.4f}")
 print()
 
@@ -46,8 +45,6 @@ with tempfile.TemporaryDirectory() as tmp:
     path = os.path.join(tmp, "drive.csv")
     save_trace(trace, path)
     back = load_trace(path)
-    worst = max(
-        abs(a.map_full - b.map_full) for a, b in zip(trace.frames, back.frames)
-    )
-    print(f"saved and reloaded: {len(back.frames)} frames,"
+    worst = np.abs(back.map_full - full).max()
+    print(f"saved and reloaded: {len(back)} frames,"
           f" worst quality delta {worst:.2e}")

@@ -36,7 +36,7 @@ def main():
 
     # train against the trace's 70th quality percentile: a deliberately
     # demanding robustness threshold
-    th = float(np.percentile(trace.map_full_values(), 70))
+    th = float(np.percentile(trace.map_full, 70))
     cfg = resolve_config(None, parse_overrides([
         "scenario.n_frames=4000",
         "train.episodes=2",

@@ -8,38 +8,18 @@ synthetic scenario generator, a gym-style environment with a piecewise
 penalty-based reward, a from-scratch double-DQN agent, baseline policies, and
 batch evaluation utilities.  Everything is numpy-only and reproducible from
 seeds.
+
+The top level re-exports the API that the demos and the README use; the rest
+is imported from its submodule (``offloadlab.scenario.realized_map``, ...).
 """
 
 __version__ = "0.1.0"
 
-from .agent import (
-    QNetwork,
-    ReplayBuffer,
-    TrainConfig,
-    TrainingDiverged,
-    act,
-    epsilon_at,
-    load_checkpoint,
-    save_checkpoint,
-    train,
-    train_step,
-    write_training_log,
-)
-from .channel import (
-    ChannelModel,
-    capacities_from_uniform,
-    capacity_from_uniform,
-    fit_rayleigh,
-    read_rate_trace,
-    sample_capacities,
-    sample_capacity,
-)
+from .agent import QNetwork, load_checkpoint
+from .channel import ChannelModel, fit_rayleigh, sample_capacities
 from .config import (
-    ConfigError,
     channel_model,
-    dump_config,
     generator_params,
-    parse_config_file,
     parse_overrides,
     queue_model,
     resolve_config,
@@ -47,91 +27,27 @@ from .config import (
     system_params,
     train_config,
 )
-from .cost import (
-    Action,
-    CostBreakdown,
-    SystemParams,
-    comm_cost,
-    cost_table,
-    energy_local,
-    feasible_actions,
-    latency_local,
-    min_energy_feasible,
-    total_cost,
-)
-from .env import OffloadEnv, RewardParams, State, StepResult, reward_with_case
-from .metrics import (
-    EvalReport,
-    evaluate,
-    sweep_channel,
-    sweep_queue,
-    write_eval_reports,
-    write_sweep,
-)
-from .policies import (
-    DrlPolicy,
-    LocalPolicy,
-    OraclePolicy,
-    PolicyDecision,
-    RAgnosticPolicy,
-    make_policy,
-)
-from .queueing import (
-    QueueModel,
-    delays_from_uniform,
-    mean_delay_ms,
-    queue_pmf,
-    sample_delay,
-    sample_delays,
-    sample_position,
-)
-from .scenario import (
-    FrameRecord,
-    GeneratorParams,
-    ScenarioTrace,
-    generate_synthetic,
-    load_trace,
-    realized_map,
-    save_trace,
-)
+from .cost import Action, SystemParams, cost_table, energy_local, latency_local, total_cost
+from .env import OffloadEnv
+from .metrics import evaluate
+from .policies import make_policy
+from .queueing import QueueModel, mean_delay_ms, queue_pmf, sample_delays
+from .scenario import GeneratorParams, ScenarioTrace, generate_synthetic, load_trace, save_trace
 
 __all__ = [
     "__version__",
     "Action",
     "ChannelModel",
-    "ConfigError",
-    "CostBreakdown",
-    "DrlPolicy",
-    "EvalReport",
-    "FrameRecord",
     "GeneratorParams",
-    "LocalPolicy",
     "OffloadEnv",
-    "OraclePolicy",
-    "PolicyDecision",
     "QNetwork",
     "QueueModel",
-    "RAgnosticPolicy",
-    "ReplayBuffer",
-    "RewardParams",
     "ScenarioTrace",
-    "State",
-    "StepResult",
     "SystemParams",
-    "TrainConfig",
-    "TrainingDiverged",
-    "act",
-    "capacities_from_uniform",
-    "capacity_from_uniform",
     "channel_model",
-    "comm_cost",
     "cost_table",
-    "delays_from_uniform",
-    "dump_config",
     "energy_local",
-    "epsilon_at",
     "evaluate",
-    "feasible_actions",
     "fit_rayleigh",
     "generate_synthetic",
     "generator_params",
@@ -140,31 +56,15 @@ __all__ = [
     "load_trace",
     "make_policy",
     "mean_delay_ms",
-    "min_energy_feasible",
-    "parse_config_file",
     "parse_overrides",
     "queue_model",
     "queue_pmf",
-    "read_rate_trace",
-    "realized_map",
     "resolve_config",
     "reward_params",
-    "reward_with_case",
     "sample_capacities",
-    "sample_capacity",
-    "sample_delay",
     "sample_delays",
-    "sample_position",
-    "save_checkpoint",
     "save_trace",
-    "sweep_channel",
-    "sweep_queue",
     "system_params",
     "total_cost",
-    "train",
     "train_config",
-    "train_step",
-    "write_eval_reports",
-    "write_sweep",
-    "write_training_log",
 ]

@@ -10,12 +10,12 @@ for the next state, the slow-moving target network prices it.
 from __future__ import annotations
 
 import math
-import os
 from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
+from .atomic import write_atomic
 from .cost import Action
 from .env import State
 from .nn import MLP, Adam, param_count, sgd_step
@@ -365,27 +365,13 @@ def train(env_factory, config: TrainConfig) -> tuple[QNetwork, list[EpisodeLog]]
     return net, logs
 
 
-def _write_atomic(path, write) -> None:
-    """Run ``write(fh)`` on a temp file beside ``path``, then move it onto
-    ``path``: a failed write leaves any existing file untouched."""
-    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
-    try:
-        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            write(fh)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
-
-
 def write_training_log(logs, path) -> None:
     def write(fh):
         fh.write("episode,mean_reward,mean_loss,epsilon\n")
         for row in logs:
             fh.write(f"{row.episode},{row.mean_reward!r},{row.mean_loss!r},{row.epsilon!r}\n")
 
-    _write_atomic(path, write)
+    write_atomic(path, write)
 
 
 def save_checkpoint(net: QNetwork, path) -> None:
@@ -405,7 +391,7 @@ def save_checkpoint(net: QNetwork, path) -> None:
                 lines.append(" ".join(repr(float(v)) for v in row))
             lines.append(" ".join(repr(float(v)) for v in b))
     lines.append("end")
-    _write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))
+    write_atomic(path, lambda fh: fh.write("\n".join(lines) + "\n"))
 
 
 def _cells(path, lineno: int, what: str, cells) -> np.ndarray:

@@ -24,6 +24,7 @@ from .agent import (
     train,
     write_training_log,
 )
+from .atomic import write_atomic
 from .channel import fit_rayleigh, read_rate_trace
 from .config import (
     ConfigError,
@@ -67,9 +68,7 @@ def write_manifest(primary_output, command: str, cfg: dict, seeds, outputs) -> s
         "timestamp": datetime.now(timezone.utc).isoformat(),
     }
     path = f"{primary_output}.manifest.json"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_atomic(path, lambda fh: fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n"))
     return path
 
 

@@ -25,7 +25,7 @@ import numpy as np
 from .channel import ChannelModel, capacities_from_uniform
 from .cost import Action, CostBreakdown, SystemParams, cost_table, total_cost
 from .queueing import QueueModel, delays_from_uniform
-from .scenario import ScenarioTrace, local_subset_key, realized_map
+from .scenario import ScenarioTrace, realized_map
 
 REWARD_BASES = ("observed", "realized")
 CASE_UNCERTAINTY = "uncertainty"
@@ -138,13 +138,11 @@ def check_replay(trace: ScenarioTrace, params: SystemParams, reward_basis: str) 
     if reward_basis not in REWARD_BASES:
         raise ValueError(f"reward_basis must be one of {REWARD_BASES}")
     for action in params.action_set:
-        if action.i == 0:
-            continue
-        key = local_subset_key(action.i, params.offload_order)
-        if key not in trace.partial_keys:
-            raise ValueError(
-                f"trace lacks reduced-fusion column map_{key} needed by {action.name}"
-            )
+        if action.i:
+            try:
+                trace.partial_column(action.i, params.offload_order)
+            except KeyError as exc:
+                raise ValueError(f"{exc.args[0]}, needed by {action.name}") from None
 
 
 def replay_blocks(trace: ScenarioTrace, channel: ChannelModel, queue: QueueModel,
@@ -234,7 +232,7 @@ class OffloadEnv:
         self._next_block()
         self._t = 0
         self._done = False
-        self._state = State(self.trace.frames[0].features, self._phi[0], self._q[0])
+        self._state = State(self.trace.features[0], self._phi[0], self._q[0])
         return self._state
 
     def step(self, action: Action) -> StepResult:
@@ -246,27 +244,25 @@ class OffloadEnv:
         if row == len(self._phi) - 1:  # the block's last row opens the next block
             self._next_block()
             row = 0
-        frame = self.trace.frames[self._t]
+        t = self._t
         phi, q = self._phi[row + 1], self._q[row + 1]
         cost = total_cost(self.params, action, phi, phi, q)
         deadline_met = cost.l_total_ms <= self.params.l_th_ms
-        r_map = realized_map(frame, action, deadline_met, self.params.offload_order)
+        r_map = realized_map(self.trace, t, action, deadline_met, self.params.offload_order)
         rank = row + self._rank_offset
         latency, energy = self._latency[rank], self._energy[rank]
         reward, case = reward_with_case(
             self.params,
             self.reward_params,
-            frame.map_full,
+            self.trace.map_full[t],
             action,
             cost,
             [e for l, e in zip(latency, energy) if l <= self.params.l_th_ms],
             energy[self.params.action_set.index(action)],
         )
-        frame_index = self._t
-        self._t += 1
+        self._t = t + 1
         self._done = self._t >= len(self.trace)
-        next_features = self.trace.frames[min(self._t, len(self.trace) - 1)].features
-        next_state = State(next_features, phi, q)
+        next_state = State(self.trace.features[min(self._t, len(self.trace) - 1)], phi, q)
         self._state = next_state
         return StepResult(
             next_state=next_state,
@@ -274,7 +270,7 @@ class OffloadEnv:
             cost=cost,
             realized_map=r_map,
             deadline_met=deadline_met,
-            frame_index=frame_index,
+            frame_index=t,
             action=action,
             reward_case=case,
         )

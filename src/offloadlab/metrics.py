@@ -11,12 +11,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .atomic import write_atomic
 from .channel import ChannelModel
 from .cost import Action, SystemParams, cost_table, total_cost
 from .env import RewardParams, check_replay, replay_blocks, reward_table
 from .policies import ObservationBlock, Policy
 from .queueing import QueueModel
-from .scenario import ScenarioTrace, local_subset_key
+from .scenario import ScenarioTrace
 
 
 @dataclass(slots=True)
@@ -55,9 +56,7 @@ class EvalReport:
 
 
 def _resolve_seeds(seeds) -> list[int]:
-    if isinstance(seeds, int):
-        return list(range(seeds))
-    out = [int(s) for s in seeds]
+    out = list(range(seeds)) if isinstance(seeds, int) else [int(s) for s in seeds]
     if not out:
         raise ValueError("need at least one seed")
     return out
@@ -95,9 +94,10 @@ def evaluate(
     n = len(trace)
     n_steps = n * len(seed_list)
     offload_i = np.array([a.i for a in params.action_set])
-    partial_keys = [local_subset_key(a.i, params.offload_order) if a.i else None
-                    for a in params.action_set]
-    map_full = trace.map_full_values()
+    # map_partial column of each action's reduced fusion (unused for offload_0)
+    partial_col = np.array([trace.partial_column(a.i, params.offload_order) if a.i else -1
+                            for a in params.action_set])
+    map_full = trace.map_full
     chosen = np.empty(n_steps, dtype=np.intp)
     realized_maps = np.empty(n_steps)
     energies = np.empty(n_steps)
@@ -109,15 +109,15 @@ def evaluate(
     for s, seed in enumerate(seed_list):
         for t0, phi, q, latency, energy in replay_blocks(trace, channel, queue, params, seed):
             t1 = t0 + len(phi) - 1
-            frames, block_map = trace.frames[t0:t1], map_full[t0:t1]
+            block_map = map_full[t0:t1]
             cols = policy.decide_block(ObservationBlock(
-                frames, phi[observed], q[observed], block_map, params,
+                trace.features[t0:t1], phi[observed], q[observed], block_map, params,
                 latency[observed], energy[observed]))
             rows = np.arange(len(cols))
             on_time = latency[realized][rows, cols] <= params.l_th_ms
             got_map = block_map.copy()
-            for t in np.flatnonzero(~on_time & (offload_i[cols] > 0)):
-                got_map[t] = frames[t].map_partial[partial_keys[cols[t]]]
+            late = np.flatnonzero(~on_time & (offload_i[cols] > 0))
+            got_map[late] = trace.map_partial[t0 + late, partial_col[cols[late]]]
             out = slice(s * n + t0, s * n + t1)
             chosen[out] = cols
             realized_maps[out] = got_map
@@ -148,13 +148,13 @@ def evaluate(
     e_local_total = e_local_frame * len(trace)
     steps = []
     if keep_steps:
-        columns = zip(chosen.tolist(), realized_maps.tolist(), energies.tolist(),
-                      met.tolist(), rewards.tolist())
+        columns = zip(chosen.tolist(), pooled_map.tolist(), realized_maps.tolist(),
+                      energies.tolist(), met.tolist(), rewards.tolist())
         steps = [
             StepRecord(seed=seed_list[i // n], frame_index=i % n,
-                       action=params.action_set[col], map_full=trace.frames[i % n].map_full,
+                       action=params.action_set[col], map_full=full,
                        realized_map=r_map, e_total_j=e, deadline_met=on_time, reward=r)
-            for i, (col, r_map, e, on_time, r) in enumerate(columns)
+            for i, (col, full, r_map, e, on_time, r) in enumerate(columns)
         ]
     return EvalReport(
         policy=policy.name,
@@ -212,10 +212,12 @@ def eval_report_row(report: EvalReport, params: SystemParams) -> list[str]:
 
 
 def write_eval_reports(reports, params: SystemParams, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    def write(fh):
         fh.write(",".join(eval_report_header(params)) + "\n")
         for report in reports:
             fh.write(",".join(eval_report_row(report, params)) + "\n")
+
+    write_atomic(path, write)
 
 
 @dataclass(slots=True)
@@ -264,7 +266,7 @@ def sweep_header(params: SystemParams, swept_name: str) -> list[str]:
 
 
 def write_sweep(rows, params: SystemParams, swept_name: str, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    def write(fh):
         fh.write(",".join(sweep_header(params, swept_name)) + "\n")
         for row in rows:
             cells = [repr(float(row.swept_value))]
@@ -273,3 +275,5 @@ def write_sweep(rows, params: SystemParams, swept_name: str, path) -> None:
                 cells.append(repr(row.e_total_j[action.name]))
                 cells.append("1" if row.feasible[action.name] else "0")
             fh.write(",".join(cells) + "\n")
+
+    write_atomic(path, write)

@@ -14,7 +14,6 @@ import numpy as np
 from .agent import QNetwork, act
 from .cost import Action, SystemParams, cost_table, min_energy_columns, min_energy_feasible
 from .env import State
-from .scenario import FrameRecord
 
 TAG_LOCAL = "local_fixed"
 TAG_ENERGY = "energy_min"
@@ -32,12 +31,13 @@ class PolicyDecision:
 class ObservationBlock:
     """What a policy observes on consecutive frames of one replay.
 
-    Row ``t`` is frame ``frames[t]`` with the probed draw ``phi_obs[t]``,
-    ``q_obs[t]``; ``latency_ms`` and ``energy_j`` are the ``cost_table`` of
-    those draws under ``params``, the replay's system parameters.
+    Row ``t`` is one frame: its ``features[t]`` and ``map_full[t]`` (slices
+    of the trace's arrays) with the probed draw ``phi_obs[t]``, ``q_obs[t]``;
+    ``latency_ms`` and ``energy_j`` are the ``cost_table`` of those draws
+    under ``params``, the replay's system parameters.
     """
 
-    frames: list[FrameRecord]
+    features: np.ndarray
     phi_obs: np.ndarray
     q_obs: np.ndarray
     map_full: np.ndarray
@@ -46,10 +46,7 @@ class ObservationBlock:
     energy_j: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.frames)
-
-    def features(self) -> np.ndarray:
-        return np.array([frame.features for frame in self.frames])
+        return len(self.features)
 
     def costs(self, params: SystemParams) -> tuple[np.ndarray, np.ndarray]:
         """The cost table of the probed draws under ``params``."""
@@ -90,10 +87,10 @@ class Policy:
         This default calls ``decide`` frame by frame. An override computes
         the same columns as arrays.
         """
-        phi, q = block.phi_obs.tolist(), block.q_obs.tolist()
+        phi, q, map_full = block.phi_obs.tolist(), block.q_obs.tolist(), block.map_full.tolist()
         out = np.empty(len(block), dtype=np.intp)
-        for t, frame in enumerate(block.frames):
-            decision = self.decide(State(frame.features, phi[t], q[t]), frame.map_full)
+        for t, features in enumerate(block.features):
+            decision = self.decide(State(features, phi[t], q[t]), map_full[t])
             out[t] = block.column(decision.action)
         return out
 
@@ -165,14 +162,14 @@ class DrlPolicy(Policy):
         return PolicyDecision(self.net.actions[act(self.net, state, 0.0)], TAG_GREEDY)
 
     def decide_block(self, block):
-        values = self.net.forward(block.features(), block.phi_obs, block.q_obs)
+        values = self.net.forward(block.features, block.phi_obs, block.q_obs)
         best = np.argmax(values, axis=1)
         if self.net.n_actions > 1:
             top = np.sort(values, axis=1)
             gap = top[:, -1] - top[:, -2]
             phi, q = block.phi_obs.tolist(), block.q_obs.tolist()
             for t in np.flatnonzero(gap <= NEAR_TIE_REL * np.maximum(1.0, np.abs(top[:, -1]))):
-                state = State(block.frames[t].features, phi[t], q[t])
+                state = State(block.features[t], phi[t], q[t])
                 best[t] = act(self.net, state, 0.0)
         return block.columns(self.net.actions, best)
 

@@ -12,10 +12,13 @@ losslessly through the loader.
 
 from __future__ import annotations
 
-import math
+import operator
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
+
+from .atomic import write_atomic
 
 ALWAYS_LOCAL = "radar"
 DEFAULT_OFFLOAD_ORDER = ("camera_left", "camera_right", "lidar")
@@ -32,40 +35,127 @@ def local_subset_key(
     return "_".join([always_local, *offload_order[i:]])
 
 
-@dataclass(slots=True)
+class TraceError(ValueError):
+    """Invalid trace contents. ``row`` is the first bad frame, or None when
+    the fault lies in the columns themselves."""
+
+    def __init__(self, detail: str, row: int | None = None):
+        super().__init__(detail if row is None else f"frame {row}: {detail}")
+        self.detail = detail
+        self.row = row
+
+
+def _check_contents(features, map_full, map_partial, partial_keys) -> None:
+    """The one validation of trace contents; raises TraceError on the first fault.
+
+    Array shapes must agree and subset keys must be distinct. Features must be
+    finite and every score must lie in [0, 1]; within the first bad frame,
+    features are reported before scores, each in column order.
+    """
+    if features.ndim != 2:
+        raise TraceError(f"features must be a 2-d array, got shape {features.shape}")
+    n = len(features)
+    if map_full.shape != (n,):
+        raise TraceError(f"map_full has shape {map_full.shape}, expected ({n},)")
+    if map_partial.shape != (n, len(partial_keys)):
+        raise TraceError(
+            f"map_partial has shape {map_partial.shape}, expected {(n, len(partial_keys))}"
+        )
+    for j, key in enumerate(partial_keys):
+        if key in partial_keys[:j]:
+            raise TraceError(f"duplicate subset column map_{key}")
+    scores = np.column_stack((map_full, map_partial))
+    bad_features = ~np.isfinite(features)
+    bad_scores = ~((scores >= 0.0) & (scores <= 1.0))
+    bad = bad_features.any(axis=1) | bad_scores.any(axis=1)
+    if not bad.any():
+        return
+    t = int(np.argmax(bad))
+    if bad_features[t].any():
+        raise TraceError(f"f{int(np.argmax(bad_features[t]))} must be finite", t)
+    j = int(np.argmax(bad_scores[t]))
+    col = "map_full" if j == 0 else f"map_{partial_keys[j - 1]}"
+    raise TraceError(f"{col} must lie in [0, 1], got {float(scores[t, j])}", t)
+
+
+@dataclass(frozen=True, slots=True)
 class FrameRecord:
+    """One row of a trace, as ``ScenarioTrace.frames`` yields it."""
+
     features: np.ndarray
     map_full: float
     map_partial: dict[str, float]
 
 
-@dataclass(slots=True)
+class _FrameRows:
+    """Read-only view of a trace as one ``FrameRecord`` per row."""
+
+    __slots__ = ("_trace",)
+
+    def __init__(self, trace: "ScenarioTrace"):
+        self._trace = trace
+
+    def __len__(self) -> int:
+        return len(self._trace)
+
+    def __getitem__(self, t) -> FrameRecord:
+        trace = self._trace
+        t = range(len(trace))[operator.index(t)]
+        features = trace.features[t]
+        features.flags.writeable = False
+        partial = dict(zip(trace.partial_keys, trace.map_partial[t].tolist()))
+        return FrameRecord(features, float(trace.map_full[t]), partial)
+
+
+@dataclass(slots=True, eq=False)
 class ScenarioTrace:
-    frames: list[FrameRecord]
-    k: int
+    """A trace as frame-aligned arrays: row ``t`` of each array is frame ``t``.
+
+    ``features`` is ``(n, k)``, ``map_full`` is ``(n,)``, and ``map_partial``
+    is ``(n, len(partial_keys))`` with column ``j`` holding the reduced-fusion
+    score of subset ``partial_keys[j]``. The arrays are stored as C-contiguous
+    float64 and validated once, here.
+    """
+
+    features: np.ndarray
+    map_full: np.ndarray
+    map_partial: np.ndarray
     partial_keys: tuple[str, ...]
     metadata: dict[str, str] = field(default_factory=dict)
 
     def __post_init__(self):
-        want_keys = set(self.partial_keys)
-        for t, frame in enumerate(self.frames):
-            if frame.features.shape != (self.k,):
-                raise ValueError(
-                    f"frame {t}: expected {self.k} features, got shape {frame.features.shape}"
-                )
-            if not 0.0 <= frame.map_full <= 1.0:
-                raise ValueError(f"frame {t}: map_full outside [0, 1]")
-            if set(frame.map_partial) != want_keys:
-                raise ValueError(
-                    f"frame {t}: reduced-fusion keys {sorted(frame.map_partial)} "
-                    f"do not match trace columns {sorted(want_keys)}"
-                )
+        self.features = np.ascontiguousarray(self.features, dtype=np.float64)
+        self.map_full = np.ascontiguousarray(self.map_full, dtype=np.float64)
+        self.map_partial = np.ascontiguousarray(self.map_partial, dtype=np.float64)
+        self.partial_keys = tuple(self.partial_keys)
+        _check_contents(self.features, self.map_full, self.map_partial, self.partial_keys)
 
     def __len__(self) -> int:
-        return len(self.frames)
+        return len(self.map_full)
 
-    def map_full_values(self) -> np.ndarray:
-        return np.array([f.map_full for f in self.frames])
+    @property
+    def k(self) -> int:
+        return self.features.shape[1]
+
+    @property
+    def frames(self) -> _FrameRows:
+        return _FrameRows(self)
+
+    def partial_column(
+        self,
+        i: int,
+        offload_order=DEFAULT_OFFLOAD_ORDER,
+        always_local: str = ALWAYS_LOCAL,
+    ) -> int:
+        """Column of ``map_partial`` that holds offload_i's reduced fusion."""
+        key = local_subset_key(i, offload_order, always_local)
+        try:
+            return self.partial_keys.index(key)
+        except ValueError:
+            raise KeyError(
+                f"trace has no reduced-fusion score for subset {key!r}; "
+                f"available: {sorted(self.partial_keys)}"
+            ) from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -130,57 +220,59 @@ def generate_synthetic(
         raise ValueError("n_frames must be positive")
     rng = np.random.default_rng(seed)
     slopes = _embedding_slopes(gen.k)
-    keys = {i: local_subset_key(i, offload_order, always_local) for i in partial_counts}
-    frames = []
+    counts = sorted(set(partial_counts))
+    partial_keys = tuple(local_subset_key(i, offload_order, always_local) for i in counts)
+    features = np.empty((n_frames, gen.k))
+    map_full = np.empty(n_frames)
+    map_partial = np.empty((n_frames, len(counts)))
     z = min(max(gen.mu, 0.0), 1.0)
-    for _ in range(n_frames):
+    for t in range(n_frames):
         m_noise = rng.normal(0.0, gen.map_noise) if gen.map_noise > 0 else 0.0
         f_noise = (
             rng.normal(0.0, gen.feature_noise, gen.k)
             if gen.feature_noise > 0
             else np.zeros(gen.k)
         )
-        map_full = min(max(gen.base - gen.span * z + m_noise, 0.0), 1.0)
-        partial = {}
-        for i, key in keys.items():
+        full = min(max(gen.base - gen.span * z + m_noise, 0.0), 1.0)
+        map_full[t] = full
+        for c, i in enumerate(counts):
             drop = i * (gen.deg_base + gen.deg_span * z)
-            partial[key] = min(max(map_full - drop, 0.0), 1.0)
-        features = 0.5 + slopes * (z - 0.5) + f_noise
-        frames.append(FrameRecord(features=features, map_full=map_full, map_partial=partial))
+            map_partial[t, c] = min(max(full - drop, 0.0), 1.0)
+        features[t] = 0.5 + slopes * (z - 0.5) + f_noise
         eps = rng.normal(0.0, gen.z_noise) if gen.z_noise > 0 else 0.0
         z = min(max(gen.alpha * z + (1.0 - gen.alpha) * gen.mu + eps, 0.0), 1.0)
-    partial_keys = tuple(keys[i] for i in sorted(keys))
     meta = {
         "generator": "ar1-scene-difficulty",
         "seed": str(seed),
         "n_frames": str(n_frames),
     }
-    return ScenarioTrace(frames=frames, k=gen.k, partial_keys=partial_keys, metadata=meta)
+    return ScenarioTrace(features, map_full, map_partial, partial_keys, metadata=meta)
 
 
 def save_trace(trace: ScenarioTrace, path) -> None:
     """Write a trace as UTF-8 CSV with metadata comment lines."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+
+    def write(fh):
         for key, value in trace.metadata.items():
             fh.write(f"# {key} = {value}\n")
         cols = [f"f{j}" for j in range(trace.k)]
         cols.append("map_full")
         cols.extend(f"map_{key}" for key in trace.partial_keys)
         fh.write(",".join(cols) + "\n")
-        for frame in trace.frames:
-            cells = [f"{v:.6f}" for v in frame.features]
-            cells.append(f"{frame.map_full:.6f}")
-            cells.extend(f"{frame.map_partial[key]:.6f}" for key in trace.partial_keys)
-            fh.write(",".join(cells) + "\n")
+        rows = np.column_stack((trace.features, trace.map_full, trace.map_partial))
+        for row in rows.tolist():
+            fh.write(",".join([f"{v:.6f}" for v in row]) + "\n")
+
+    write_atomic(path, write)
 
 
 def load_trace(path, expected_subsets=None) -> ScenarioTrace:
-    """Parse and validate a trace CSV; errors carry 1-based line numbers."""
+    """Parse a trace CSV; errors carry 1-based line numbers."""
     metadata: dict[str, str] = {}
     header: list[str] | None = None
-    frames: list[FrameRecord] = []
-    k = 0
-    partial_keys: tuple[str, ...] = ()
+    header_lineno = 0
+    values = array("d")
+    linenos = array("q")
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -195,6 +287,7 @@ def load_trace(path, expected_subsets=None) -> ScenarioTrace:
             cells = line.split(",")
             if header is None:
                 header = [c.strip() for c in cells]
+                header_lineno = lineno
                 k, partial_keys = _parse_header(path, lineno, header, expected_subsets)
                 continue
             if len(cells) != len(header):
@@ -202,30 +295,20 @@ def load_trace(path, expected_subsets=None) -> ScenarioTrace:
                     f"{path}: line {lineno}: expected {len(header)} columns, got {len(cells)}"
                 )
             try:
-                values = [float(c) for c in cells]
+                values.extend(map(float, cells))
             except ValueError:
                 raise ValueError(f"{path}: line {lineno}: non-numeric cell") from None
-            if not all(map(math.isfinite, values[:k])):
-                j = next(j for j, v in enumerate(values) if not math.isfinite(v))
-                raise ValueError(f"{path}: line {lineno}: f{j} must be finite")
-            scores = values[k:]
-            for col, v in zip(header[k:], scores):
-                if not 0.0 <= v <= 1.0:
-                    raise ValueError(
-                        f"{path}: line {lineno}: {col} must lie in [0, 1], got {v}"
-                    )
-            frames.append(
-                FrameRecord(
-                    features=np.array(values[:k]),
-                    map_full=scores[0],
-                    map_partial=dict(zip(partial_keys, scores[1:])),
-                )
-            )
+            linenos.append(lineno)
     if header is None:
         raise ValueError(f"{path}: no header row found")
-    if not frames:
+    if not linenos:
         raise ValueError(f"{path}: no data rows found")
-    return ScenarioTrace(frames=frames, k=k, partial_keys=partial_keys, metadata=metadata)
+    table = np.frombuffer(values, dtype=np.float64).reshape(len(linenos), len(header))
+    try:
+        return ScenarioTrace(table[:, :k], table[:, k], table[:, k + 1:], partial_keys, metadata)
+    except TraceError as exc:
+        bad_line = header_lineno if exc.row is None else linenos[exc.row]
+        raise ValueError(f"{path}: line {bad_line}: {exc.detail}") from None
 
 
 def _parse_header(path, lineno, header, expected_subsets):
@@ -256,24 +339,18 @@ def _parse_header(path, lineno, header, expected_subsets):
 
 
 def realized_map(
-    frame: FrameRecord,
+    trace: ScenarioTrace,
+    t: int,
     action,
     all_arrived: bool,
     offload_order=DEFAULT_OFFLOAD_ORDER,
     always_local: str = ALWAYS_LOCAL,
 ) -> float:
-    """Detection quality the vehicle actually experiences on this frame.
+    """Detection quality the vehicle actually experiences on frame ``t``.
 
     Full fusion when nothing was offloaded or every offloaded result arrived
     in time, otherwise the reduced fusion of the pipelines that stayed local.
     """
     if action.i == 0 or all_arrived:
-        return frame.map_full
-    key = local_subset_key(action.i, offload_order, always_local)
-    try:
-        return frame.map_partial[key]
-    except KeyError:
-        raise KeyError(
-            f"trace has no reduced-fusion score for subset {key!r}; "
-            f"available: {sorted(frame.map_partial)}"
-        ) from None
+        return float(trace.map_full[t])
+    return float(trace.map_partial[t, trace.partial_column(action.i, offload_order, always_local)])

@@ -42,7 +42,7 @@ def default_trace():
 
 
 def _percentile_threshold(trace, pct):
-    return float(np.percentile(trace.map_full_values(), pct))
+    return float(np.percentile(trace.map_full, pct))
 
 
 @pytest.fixture(scope="module")
@@ -177,9 +177,9 @@ def test_criterion_06_reward_branch_table_and_exclusivity(default_trace):
     for _ in range(10_000):
         if env.done:
             env.reset(seed=int(rng.integers(1 << 30)))
-        frame = default_trace.frames[env.frame_index]
+        map_full = default_trace.map_full[env.frame_index]
         res = env.step([A0, A2, A3][rng.integers(3)])
-        if frame.map_full < p.map_th:
+        if map_full < p.map_th:
             want = "uncertainty"
         elif res.cost.l_total_ms > p.l_th_ms:
             want = "deadline"

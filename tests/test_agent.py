@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from offloadlab import atomic
 from offloadlab.agent import (
+    EpisodeLog,
     QNetwork,
     ReplayBuffer,
     TrainConfig,
@@ -15,10 +17,13 @@ from offloadlab.agent import (
     write_training_log,
 )
 from offloadlab.channel import ChannelModel
+from offloadlab.cli import write_manifest
 from offloadlab.cost import SystemParams
 from offloadlab.env import OffloadEnv, State
+from offloadlab.metrics import evaluate, sweep_channel, write_eval_reports, write_sweep
+from offloadlab.policies import LocalPolicy
 from offloadlab.queueing import QueueModel
-from offloadlab.scenario import GeneratorParams, generate_synthetic
+from offloadlab.scenario import GeneratorParams, generate_synthetic, save_trace
 
 ACTIONS = (0, 2, 3)
 
@@ -378,17 +383,53 @@ def test_stacked_forward_equals_two_half_forwards(seed):
     np.testing.assert_array_equal(both, np.concatenate(halves))
 
 
-def test_failed_write_leaves_existing_output_intact(tmp_path):
-    _, logs = train(_tiny_env_factory(), _tiny_config())
-    path = tmp_path / "log.csv"
-    write_training_log(logs, path)
-    before = path.read_bytes()
+class _FullDisk:
+    """A file that takes the first write and then fails, like a full disk."""
 
-    def failing_rows():
-        yield logs[0]
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, text):
+        self.fh.write(text)
         raise OSError("disk full")
 
+
+def _small_trace():
+    return generate_synthetic(GeneratorParams(k=2), 5, seed=1)
+
+
+# every file the package writes: (target name, writer of a small output)
+WRITERS = {
+    "save_trace": ("out.csv", lambda path: save_trace(_small_trace(), path)),
+    "write_eval_reports": ("out.csv", lambda path: write_eval_reports(
+        [evaluate(LocalPolicy(), _small_trace(), ChannelModel(sigma=8.0), QueueModel(),
+                  SystemParams(), seeds=1)], SystemParams(), path)),
+    "write_sweep": ("out.csv", lambda path: write_sweep(
+        sweep_channel(SystemParams(), [2.0, 8.0], 15.0), SystemParams(), "phi_mbps", path)),
+    "write_manifest": ("out.manifest.json", lambda path: write_manifest(
+        str(path).removesuffix(".manifest.json"), "sweep channel", {"rho": 0.9}, [], [])),
+    "save_checkpoint": ("out.txt", lambda path: save_checkpoint(
+        QNetwork(4, ACTIONS, rng=np.random.default_rng(0)), path)),
+    "write_training_log": ("out.csv", lambda path: write_training_log(
+        [EpisodeLog(0, -0.5, 0.25, 1.0), EpisodeLog(1, -0.25, 0.125, 0.5)], path)),
+}
+
+
+@pytest.mark.parametrize("writer", sorted(WRITERS))
+def test_failed_write_leaves_existing_output_intact(tmp_path, monkeypatch, writer):
+    name, write = WRITERS[writer]
+    path = tmp_path / name
+    write(path)
+    before = path.read_bytes()
+    monkeypatch.setattr(atomic, "open", lambda *a, **kw: _FullDisk(open(*a, **kw)),
+                        raising=False)
     with pytest.raises(OSError, match="disk full"):
-        write_training_log(failing_rows(), path)
+        write(path)
     assert path.read_bytes() == before
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["log.csv"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == [name]

@@ -134,6 +134,28 @@ def test_train_outputs_match_pinned_sha256(tmp_path, capsys, optimizer):
     capsys.readouterr()
 
 
+# sha256 of the TINY trace and of the channel and queue sweeps of
+# test_sweep_channel_and_queue; they pin the trace and sweep CSV bytes
+GENERATE_SHA256 = "1802287c656b0115514e6c16b0b847611a1871dab82145d4f0845657bfd8549d"
+SWEEP_SHA256 = {
+    "channel": "811d20bb2d9e2cd2b86aaa9f994a635cdbc5d82f01aa00c9756795fb9adb1564",
+    "queue": "4f2d306c0f3abf7942b1204f89545e23160cc65f0f3b982366ffe9eb65219d53",
+}
+
+
+def test_generate_output_matches_pinned_sha256(tmp_path, capsys):
+    assert hashlib.sha256(_gen(tmp_path).read_bytes()).hexdigest() == GENERATE_SHA256
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("kind, flag", [("channel", "--fixed-q"), ("queue", "--fixed-phi")])
+def test_sweep_output_matches_pinned_sha256(tmp_path, capsys, kind, flag):
+    out = tmp_path / f"sweep_{kind}.csv"
+    assert main(["sweep", kind, "--grid", "2:12:2", flag, "15", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == SWEEP_SHA256[kind]
+    capsys.readouterr()
+
+
 def test_train_missing_trace(tmp_path, capsys):
     rc = main(["train", "--trace", str(tmp_path / "nope.csv"), "--out", str(tmp_path / "n.txt")])
     assert rc == 1

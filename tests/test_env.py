@@ -158,8 +158,7 @@ def test_observations_lag_realized_draws(basis):
         rank_phi, rank_q = (phi, q) if basis == "realized" else (state.phi_obs, state.q_obs)
         rank = [total_cost(p, a, rank_phi, rank_phi, rank_q) for a in p.action_set]
         feasible = [cb.e_total_j for cb in rank if cb.l_total_ms <= p.l_th_ms]
-        frame = trace.frames[res.frame_index]
-        want = reward_with_case(p, RP, frame.map_full, action, res.cost, feasible,
+        want = reward_with_case(p, RP, trace.map_full[res.frame_index], action, res.cost, feasible,
                                 rank[p.action_set.index(action)].e_total_j)
         assert (res.reward, res.reward_case) == want
         state = res.next_state
@@ -209,15 +208,16 @@ def test_local_action_rewards_seed_invariant_when_uncertainty_dominates(small_tr
 def test_realized_map_depends_on_deadline(small_trace):
     env = _env(small_trace, rho=0.99)
     env.reset(seed=2)
+    radar = small_trace.partial_keys.index("radar")
     saw_partial = saw_full = False
     for t in range(len(small_trace)):
         res = env.step(A3)
-        frame = small_trace.frames[res.frame_index]
+        t = res.frame_index
         if res.deadline_met:
-            assert res.realized_map == frame.map_full
+            assert res.realized_map == small_trace.map_full[t]
             saw_full = True
         else:
-            assert res.realized_map == frame.map_partial["radar"]
+            assert res.realized_map == small_trace.map_partial[t, radar]
             saw_partial = True
     assert saw_full and saw_partial
 

@@ -73,7 +73,7 @@ def test_weighted_amap_recovers_trace_mean(small_trace, params):
     mix = sum(
         s.freq_pct / 100.0 * s.amap_pct for s in r.actions.values() if s.count > 0
     )
-    want = np.mean(small_trace.map_full_values()) * 100.0
+    want = np.mean(small_trace.map_full) * 100.0
     assert mix == pytest.approx(want, abs=1e-9)
 
 
@@ -98,6 +98,12 @@ def test_seed_list_and_count_agree(small_trace, params):
     a = _eval(RAgnosticPolicy(params), small_trace, seeds=3)
     b = _eval(RAgnosticPolicy(params), small_trace, seeds=[0, 1, 2])
     assert a == b
+
+
+@pytest.mark.parametrize("seeds", [0, -2, []])
+def test_evaluate_needs_at_least_one_seed(small_trace, params, seeds):
+    with pytest.raises(ValueError, match="^need at least one seed$"):
+        _eval(RAgnosticPolicy(params), small_trace, seeds=seeds)
 
 
 def test_energy_reduction_against_local_baseline(small_trace, params):
@@ -252,9 +258,9 @@ def _loop_report(policy, trace, channel, queue, params, seeds, reward_basis):
     for seed in seeds:
         state = env.reset(seed=seed)
         while not env.done:
-            frame = trace.frames[env.frame_index]
-            result = env.step(policy.decide(state, frame.map_full).action)
-            steps.append((seed, result.frame_index, result.action, frame.map_full,
+            map_full = float(trace.map_full[env.frame_index])
+            result = env.step(policy.decide(state, map_full).action)
+            steps.append((seed, result.frame_index, result.action, map_full,
                           result.realized_map, result.cost.e_total_j, result.deadline_met,
                           result.reward))
             state = result.next_state
@@ -333,7 +339,7 @@ def test_evaluate_rejects_drl_action_outside_action_set_like_env_step(small_trac
     env = OffloadEnv(trace, channel, queue, params)
     state = env.reset(seed=0)
     with pytest.raises(ValueError) as loop:
-        env.step(policy.decide(state, trace.frames[0].map_full).action)
+        env.step(policy.decide(state, float(trace.map_full[0])).action)
     with pytest.raises(ValueError) as table:
         evaluate(policy, trace, channel, queue, params, seeds=[0])
     assert str(table.value) == str(loop.value) == "offload_1 is not in the configured action set"
