@@ -53,7 +53,7 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError("gamma must lie in [0, 1)")
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError("lr must be positive")
         for name in ("batch_size", "buffer_capacity", "target_sync", "eps_decay_steps",
                      "episodes", "ctx_out", "loss_patience"):
@@ -63,7 +63,7 @@ class TrainConfig:
             raise ValueError("buffer_capacity must be at least batch_size")
         if not 0.0 <= self.eps_end <= self.eps_start <= 1.0:
             raise ValueError("need 0 <= eps_end <= eps_start <= 1")
-        if self.phi_max_mbps <= 0 or self.loss_ceiling <= 0:
+        if not (self.phi_max_mbps > 0 and self.loss_ceiling > 0):
             raise ValueError("phi_max_mbps and loss_ceiling must be positive")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError("optimizer must be 'adam' or 'sgd'")

@@ -16,7 +16,7 @@ class ChannelModel:
     def __post_init__(self):
         if not (self.sigma > 0 and math.isfinite(self.sigma)):
             raise ValueError("sigma must be positive and finite")
-        if self.floor_mbps < 0:
+        if not self.floor_mbps >= 0:
             raise ValueError("floor_mbps must be non-negative")
 
     @property

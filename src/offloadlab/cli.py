@@ -78,7 +78,7 @@ def _parse_grid(text: str) -> list[float]:
         if len(parts) != 3:
             raise ConfigError(f"grid range must be start:stop:step, got {text!r}")
         start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
+        if not (step > 0 and 0 <= stop - start < float("inf")):
             raise ConfigError(f"bad grid range {text!r}")
         n = int(round((stop - start) / step)) + 1
         return [start + i * step for i in range(n) if start + i * step <= stop + 1e-12]
@@ -100,18 +100,22 @@ def _parse_seeds(text: str) -> list[int]:
 
 def training_env_factory(trace, cfg: dict):
     """Environment factory for train(): cycles the server load across
-    episodes through ``train.rho_cycle`` so the agent sees every regime."""
+    episodes through ``train.rho_cycle`` so the agent sees every regime;
+    a bad load fails here, before any episode runs."""
     params = system_params(cfg)
     rparams = reward_params(cfg)
     channel = channel_model(cfg)
-    cycle = tuple(cfg["train.rho_cycle"]) or (cfg["rho"],)
+    cycle = cfg["train.rho_cycle"]
+    try:
+        queues = [queue_model(cfg, rho=rho) for rho in cycle or (cfg["rho"],)]
+    except ConfigError as exc:
+        raise ConfigError(f"train.rho_cycle: {exc}" if cycle else str(exc)) from None
 
     def factory(episode: int) -> OffloadEnv:
-        rho = cycle[episode % len(cycle)]
         return OffloadEnv(
             trace,
             channel,
-            queue_model(cfg, rho=rho),
+            queues[episode % len(queues)],
             params,
             reward_params=rparams,
             reward_basis=cfg["reward_basis"],

@@ -73,12 +73,12 @@ class SystemParams:
         if not isinstance(self.n_pipelines, int) or self.n_pipelines < 1:
             raise ValueError("n_pipelines must be a positive integer")
         for name in ("l_encoder_ms", "l_tail_ms", "l_th_ms", "b_up_kbit"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be positive")
         # zero is meaningful for powers (idle-free radios, what-if studies) and
         # for b_down (fire-and-forget offload), so only negatives are rejected
         for name in ("p_local_w", "p_tx_w", "p_idle_w", "b_down_kbit"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
         if not 0.0 <= self.map_th <= 1.0:
             raise ValueError("map_th must lie in [0, 1]")
@@ -156,7 +156,7 @@ def comm_cost(
     """
     if phi_down_mbps is None:
         phi_down_mbps = phi_up_mbps
-    if phi_up_mbps <= 0 or phi_down_mbps <= 0:
+    if not (phi_up_mbps > 0 and phi_down_mbps > 0):
         raise ValueError("channel rates must be positive")
     i = action.i
     if i == 0:
@@ -183,7 +183,7 @@ def total_cost(
     branches and idle energy accrues only while the vehicle actually waits.
     """
     _check_action(params, action)
-    if server_delay_ms < 0:
+    if not server_delay_ms >= 0:
         raise ValueError("server delay must be non-negative")
     n, i = params.n_pipelines, action.i
     l_local = latency_local(params, action)
@@ -227,9 +227,9 @@ def cost_table(params: SystemParams, phi_mbps, server_delay_ms) -> tuple[np.ndar
     """
     phi, q = np.broadcast_arrays(np.atleast_1d(np.asarray(phi_mbps, dtype=float)),
                                  np.atleast_1d(np.asarray(server_delay_ms, dtype=float)))
-    if np.any(q < 0):
+    if not np.all(q >= 0):
         raise ValueError("server delay must be non-negative")
-    if np.any(phi <= 0):
+    if not np.all(phi > 0):
         raise ValueError("channel rates must be positive")
     n = params.n_pipelines
     latency = np.empty((phi.shape[0], len(params.action_set)))

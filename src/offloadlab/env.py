@@ -19,13 +19,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .channel import ChannelModel, capacities_from_uniform
 from .cost import Action, CostBreakdown, SystemParams, cost_table, total_cost
 from .queueing import QueueModel, delays_from_uniform
-from .scenario import ScenarioTrace, realized_map
+from .scenario import ScenarioTrace
 
 REWARD_BASES = ("observed", "realized")
 CASE_UNCERTAINTY = "uncertainty"
@@ -101,34 +102,29 @@ def reward_table(
     params: SystemParams,
     reward_params: RewardParams,
     map_full: np.ndarray,
-    columns: np.ndarray,
     latency_ms: np.ndarray,
     rank_latency_ms: np.ndarray,
     rank_energy_j: np.ndarray,
 ) -> np.ndarray:
-    """``reward_with_case`` rewards of many steps at once, value for value.
+    """``reward_with_case`` rewards of every action on many steps, value for value.
 
-    Row ``t`` is one step: ``columns[t]`` is the chosen action's column in
-    ``params.action_set``, ``latency_ms`` the ``cost_table`` of the realized
-    draw, and the ``rank_`` tables those of the draw the energy branch ranks
-    against.
+    Row ``t`` is one step and column ``a`` the action ``params.action_set[a]``:
+    ``latency_ms`` is the ``cost_table`` of the realized draw, and the
+    ``rank_`` tables are those of the draw the energy branch ranks against.
     """
     p = reward_params.p_penalty
     n = params.n_pipelines
-    rows = np.arange(len(columns))
     uncertainty = np.array([0.0 if a.i == 0 else p / (n - a.i) for a in params.action_set])
-    feasible = rank_latency_ms <= params.l_th_ms
-    e = rank_energy_j[rows, columns]
-    e_min = np.where(feasible, rank_energy_j, np.inf).min(axis=1)
-    # math.isclose(e, e_min, ...) term by term
-    diff = np.abs(e_min - e)
-    close = (e == e_min) | (np.isfinite(e) & np.isfinite(e_min) & (
-        (diff <= np.abs(RANK_REL_TOL * e_min)) | (diff <= np.abs(RANK_REL_TOL * e))
-        | (diff <= RANK_ABS_TOL)))
-    minimal = feasible.any(axis=1) & close
-    missed = latency_ms[rows, columns] > params.l_th_ms
-    return np.where(map_full < params.map_th, uncertainty[columns],
-                    np.where(missed | ~minimal, p, 0.0))
+    e = rank_energy_j
+    # a fold over the few columns: min(axis=1) costs several times more
+    e_min = reduce(np.minimum, np.where(rank_latency_ms <= params.l_th_ms, e, np.inf).T)[:, None]
+    # not math.isclose(e, e_min, ...): cost_table energies are finite and
+    # non-negative, and scaling by a positive tolerance is monotone, so one
+    # max stands for its three comparisons; e_min is inf on a row where no
+    # action meets the deadline
+    far = np.abs(e - e_min) > np.maximum(RANK_REL_TOL * np.maximum(e, e_min), RANK_ABS_TOL)
+    miss = (latency_ms > params.l_th_ms) | far | np.isinf(e_min)
+    return np.where(map_full[:, None] < params.map_th, uncertainty, np.where(miss, p, 0.0))
 
 
 def check_replay(trace: ScenarioTrace, params: SystemParams, reward_basis: str) -> None:
@@ -171,15 +167,43 @@ def replay_blocks(trace: ScenarioTrace, channel: ChannelModel, queue: QueueModel
         yield t0, phi, q, *cost_table(params, phi, q)
 
 
+def replay_outcomes(trace: ScenarioTrace, channel: ChannelModel, queue: QueueModel,
+                    params: SystemParams, reward_params: RewardParams, reward_basis: str,
+                    seed: int):
+    """Each block of ``replay_blocks`` with every action's outcome on each frame.
+
+    Yields ``(t0, phi, q, latency_ms, energy_j, outcomes)``, where
+    ``outcomes`` holds four ``(m, A)`` tables, one row per frame and one
+    column per action of the action set: deadline met, realized fusion
+    quality, realized energy and reward. No action changes the next frame or
+    draw, so every outcome is fixed before a policy acts. Frame ``t0 + r``
+    realizes row ``r + 1``, and a late offload gets the reduced fusion of the
+    pipelines that stayed local. The energy branch ranks actions on row
+    ``r``, the probe the policy decided on, under the ``observed`` basis, and
+    on row ``r + 1`` under ``realized``.
+    """
+    # each action's realized quality when it misses the deadline
+    late_map = np.column_stack([
+        trace.map_partial[:, trace.partial_column(a.i, params.offload_order)] if a.i
+        else trace.map_full for a in params.action_set])
+    rank = 1 if reward_basis == "realized" else 0
+    for t0, phi, q, latency, energy in replay_blocks(trace, channel, queue, params, seed):
+        t1 = t0 + len(phi) - 1
+        map_full = trace.map_full[t0:t1]
+        met = latency[1:] <= params.l_th_ms
+        got = np.where(met, map_full[:, None], late_map[t0:t1])
+        ranked = slice(rank, rank + t1 - t0)
+        reward = reward_table(params, reward_params, map_full, latency[1:],
+                              latency[ranked], energy[ranked])
+        yield t0, phi, q, latency, energy, (met, got, energy[1:], reward)
+
+
 class OffloadEnv:
     """Sequential decision process over one trace.
 
-    The episode walks the rows of ``replay_blocks``: frame ``t`` observes row
-    ``t`` and realizes row ``t + 1``. ``reward_basis`` selects the row against
-    which the energy branch ranks actions: ``observed`` uses the probed
-    (previous-frame) draw the policy decided on, ``realized`` uses the fresh
-    draw the action experienced. The deadline branch always judges the
-    realized execution.
+    Frame ``t`` observes row ``t`` of ``replay_blocks`` and realizes row
+    ``t + 1``; ``step`` reads the chosen action's cell of the
+    ``replay_outcomes`` tables (see there for ``reward_basis``).
     """
 
     def __init__(
@@ -198,11 +222,10 @@ class OffloadEnv:
         self.params = params
         self.reward_params = reward_params if reward_params is not None else RewardParams()
         self.reward_basis = reward_basis
-        # offset of the ranked row from the frame's observed row
-        self._rank_offset = 1 if reward_basis == "realized" else 0
         self._blocks = None
-        # the current block of replay_blocks, as lists
-        self._t0, self._phi, self._q, self._latency, self._energy = 0, [], [], [], []
+        # the current block of replay_outcomes: its draws and outcome tables as lists
+        self._t0, self._phi, self._q = 0, [], []
+        self._met, self._map, self._reward = [], [], []
         self._state: State | None = None
         self._t = 0
         self._done = True
@@ -222,13 +245,14 @@ class OffloadEnv:
         return self._state
 
     def _next_block(self) -> None:
-        t0, phi, q, latency, energy = next(self._blocks)
+        t0, phi, q, _, _, (met, got, _, reward) = next(self._blocks)
         self._t0 = t0
         self._phi, self._q = phi.tolist(), q.tolist()
-        self._latency, self._energy = latency.tolist(), energy.tolist()
+        self._met, self._map, self._reward = met.tolist(), got.tolist(), reward.tolist()
 
     def reset(self, seed: int = 0) -> State:
-        self._blocks = replay_blocks(self.trace, self.channel, self.queue, self.params, seed)
+        self._blocks = replay_outcomes(self.trace, self.channel, self.queue, self.params,
+                                       self.reward_params, self.reward_basis, seed)
         self._next_block()
         self._t = 0
         self._done = False
@@ -241,34 +265,26 @@ class OffloadEnv:
         if action not in self.params.action_set:
             raise ValueError(f"{action.name} is not in the configured action set")
         row = self._t - self._t0
-        if row == len(self._phi) - 1:  # the block's last row opens the next block
+        if row == len(self._reward):  # the block's frames are used up
             self._next_block()
             row = 0
         t = self._t
+        col = self.params.action_set.index(action)
         phi, q = self._phi[row + 1], self._q[row + 1]
-        cost = total_cost(self.params, action, phi, phi, q)
-        deadline_met = cost.l_total_ms <= self.params.l_th_ms
-        r_map = realized_map(self.trace, t, action, deadline_met, self.params.offload_order)
-        rank = row + self._rank_offset
-        latency, energy = self._latency[rank], self._energy[rank]
-        reward, case = reward_with_case(
-            self.params,
-            self.reward_params,
-            self.trace.map_full[t],
-            action,
-            cost,
-            [e for l, e in zip(latency, energy) if l <= self.params.l_th_ms],
-            energy[self.params.action_set.index(action)],
-        )
+        deadline_met = self._met[row][col]
+        if self.trace.map_full[t] < self.params.map_th:
+            case = CASE_UNCERTAINTY
+        else:
+            case = CASE_ENERGY if deadline_met else CASE_DEADLINE
         self._t = t + 1
         self._done = self._t >= len(self.trace)
         next_state = State(self.trace.features[min(self._t, len(self.trace) - 1)], phi, q)
         self._state = next_state
         return StepResult(
             next_state=next_state,
-            reward=reward,
-            cost=cost,
-            realized_map=r_map,
+            reward=self._reward[row][col],
+            cost=total_cost(self.params, action, phi, phi, q),
+            realized_map=self._map[row][col],
             deadline_met=deadline_met,
             frame_index=t,
             action=action,

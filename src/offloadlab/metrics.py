@@ -14,7 +14,7 @@ import numpy as np
 from .atomic import write_atomic
 from .channel import ChannelModel
 from .cost import Action, SystemParams, cost_table, total_cost
-from .env import RewardParams, check_replay, replay_blocks, reward_table
+from .env import RewardParams, check_replay, replay_outcomes
 from .policies import ObservationBlock, Policy
 from .queueing import QueueModel
 from .scenario import ScenarioTrace
@@ -77,12 +77,12 @@ def evaluate(
 
     A replay is open loop: no action changes the next state, which is the
     next frame plus a fresh channel and queue draw. So each seed is computed
-    as tables over the blocks of ``env.replay_blocks``, the draws and cost
-    tables that ``OffloadEnv.reset``/``step`` read for the same seed: the
-    policy picks a column per frame with ``decide_block``, and the reward and
-    realized quality follow as arrays. Every step record and report field
-    equals that of an ``OffloadEnv`` reset/step loop, so reports and sweeps
-    written from them are byte-identical.
+    over the blocks of ``env.replay_outcomes``, the draws and outcome tables
+    that ``OffloadEnv.reset``/``step`` read for the same seed: the policy
+    picks a column per frame with ``decide_block``, and each step's outcome
+    is that column of the tables. Every step record and report field equals
+    that of an ``OffloadEnv`` reset/step loop, so reports and sweeps written
+    from them are byte-identical.
 
     ``total_energy_j`` is the per-replay total (pooled energy divided by the
     seed count); ``energy_reduction_pct`` compares it against the all-local
@@ -92,50 +92,29 @@ def evaluate(
     check_replay(trace, params, reward_basis)
     reward_params = reward_params if reward_params is not None else RewardParams()
     n = len(trace)
-    n_steps = n * len(seed_list)
-    offload_i = np.array([a.i for a in params.action_set])
-    # map_partial column of each action's reduced fusion (unused for offload_0)
-    partial_col = np.array([trace.partial_column(a.i, params.offload_order) if a.i else -1
-                            for a in params.action_set])
-    map_full = trace.map_full
-    chosen = np.empty(n_steps, dtype=np.intp)
-    realized_maps = np.empty(n_steps)
-    energies = np.empty(n_steps)
-    met = np.empty(n_steps, dtype=bool)
-    rewards = np.empty(n_steps)
-    # a block's row t is frame t's observed draw and row t + 1 its realized one
-    observed, realized = slice(None, -1), slice(1, None)
-    rank = realized if reward_basis == "realized" else observed
-    for s, seed in enumerate(seed_list):
-        for t0, phi, q, latency, energy in replay_blocks(trace, channel, queue, params, seed):
+    blocks = []  # per block: the chosen columns, then each outcome table's picks
+    for seed in seed_list:
+        for t0, phi, q, latency, energy, outcomes in replay_outcomes(
+                trace, channel, queue, params, reward_params, reward_basis, seed):
             t1 = t0 + len(phi) - 1
-            block_map = map_full[t0:t1]
+            # row t of a block is frame t's observed draw
             cols = policy.decide_block(ObservationBlock(
-                trace.features[t0:t1], phi[observed], q[observed], block_map, params,
-                latency[observed], energy[observed]))
-            rows = np.arange(len(cols))
-            on_time = latency[realized][rows, cols] <= params.l_th_ms
-            got_map = block_map.copy()
-            late = np.flatnonzero(~on_time & (offload_i[cols] > 0))
-            got_map[late] = trace.map_partial[t0 + late, partial_col[cols[late]]]
-            out = slice(s * n + t0, s * n + t1)
-            chosen[out] = cols
-            realized_maps[out] = got_map
-            energies[out] = energy[realized][rows, cols]
-            met[out] = on_time
-            rewards[out] = reward_table(params, reward_params, block_map, cols,
-                                        latency[realized], latency[rank], energy[rank])
-    pooled_map = np.tile(map_full, len(seed_list))
+                trace.features[t0:t1], phi[:-1], q[:-1], trace.map_full[t0:t1], params,
+                latency[:-1], energy[:-1]))
+            picked = cols + len(params.action_set) * np.arange(len(cols))
+            blocks.append((cols, *(table.take(picked) for table in outcomes)))
+    chosen, met, realized_maps, energies, rewards = map(np.concatenate, zip(*blocks))
+    pooled_map = np.tile(trace.map_full, len(seed_list))
     counts = np.bincount(chosen, minlength=len(params.action_set)).tolist()
     actions: dict[str, ActionStats] = {}
     for col, action in enumerate(params.action_set):
-        stats = ActionStats(count=counts[col], freq_pct=100.0 * counts[col] / n_steps)
+        stats = ActionStats(count=counts[col], freq_pct=100.0 * counts[col] / len(chosen))
         if counts[col]:
             mask = chosen == col
             stats.amap_pct = 100.0 * float(np.mean(pooled_map[mask]))
             stats.realized_amap_pct = 100.0 * float(np.mean(realized_maps[mask]))
         actions[action.name] = stats
-    offloading = offload_i[chosen] > 0
+    offloading = chosen > 0  # column 0 is offload_0
     n_offloading = int(np.count_nonzero(offloading))
     if n_offloading:
         risky = int(np.count_nonzero(offloading & (pooled_map < params.map_th)))
@@ -165,7 +144,7 @@ def evaluate(
         robust_pct=100.0 - risky_pct,
         total_energy_j=total_energy,
         energy_reduction_pct=100.0 * (1.0 - total_energy / e_local_total),
-        deadline_miss_pct=100.0 * int(np.count_nonzero(~met)) / n_steps,
+        deadline_miss_pct=100.0 * int(np.count_nonzero(~met)) / len(chosen),
         mean_reward=float(np.mean(rewards)),
         steps=steps,
     )

@@ -22,7 +22,7 @@ class QueueModel:
 
     def __post_init__(self):
         _check_rho_cap(self.rho, self.cap)
-        if self.t_service_ms <= 0:
+        if not self.t_service_ms > 0:
             raise ValueError("t_service_ms must be positive")
 
 

@@ -185,13 +185,13 @@ class GeneratorParams:
             raise ValueError("k must be a positive integer")
         if not 0.0 <= self.alpha < 1.0:
             raise ValueError("alpha must lie in [0, 1)")
-        if self.span <= 0:
+        if not self.span > 0:
             raise ValueError("span must be positive")
         for name in ("base", "mu"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1]")
         for name in ("z_noise", "map_noise", "feature_noise", "deg_base", "deg_span"):
-            if getattr(self, name) < 0:
+            if not getattr(self, name) >= 0:
                 raise ValueError(f"{name} must be non-negative")
 
 

@@ -1,10 +1,17 @@
-import pytest
+import os
 
-import _criteria
-from offloadlab.channel import ChannelModel
-from offloadlab.cost import SystemParams
-from offloadlab.queueing import QueueModel
-from offloadlab.scenario import GeneratorParams, generate_synthetic
+# one BLAS thread: OpenBLAS threads the training forward on small matrices,
+# which doubles the suite's CPU time for no wall-clock gain; the variable is
+# read once, when numpy loads, so it is set before the imports below
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+import pytest  # noqa: E402
+
+import _criteria  # noqa: E402
+from offloadlab.channel import ChannelModel  # noqa: E402
+from offloadlab.cost import SystemParams  # noqa: E402
+from offloadlab.queueing import QueueModel  # noqa: E402
+from offloadlab.scenario import GeneratorParams, generate_synthetic  # noqa: E402
 
 
 def pytest_terminal_summary(terminalreporter):

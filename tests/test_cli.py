@@ -9,6 +9,8 @@ import pytest
 
 from offloadlab.agent import QNetwork, load_checkpoint, save_checkpoint
 from offloadlab.cli import main
+from offloadlab.config import DEFAULTS
+from offloadlab.env import OffloadEnv
 from offloadlab.scenario import load_trace
 
 TINY = [
@@ -267,6 +269,66 @@ def test_train_divergence_is_a_one_line_error(tmp_path, capsys):
     assert not ckpt.exists()
 
 
+def test_bad_rho_cycle_load_fails_before_any_step(tmp_path, capsys, monkeypatch):
+    trace = _gen(tmp_path)
+    steps = []
+    real_step = OffloadEnv.step
+
+    def counting_step(self, action):
+        steps.append(action)
+        return real_step(self, action)
+
+    monkeypatch.setattr(OffloadEnv, "step", counting_step)
+    ckpt = tmp_path / "net.txt"
+    rc = main(["train", "--trace", str(trace), "--out", str(ckpt), *TINY,
+               "--set", "train.rho_cycle=0.9,1.5"])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "error: train: train.rho_cycle: rho must lie in (0, 1), got 1.5\n"
+    assert steps == []
+    assert not ckpt.exists()
+
+
+# every float-valued config key, and the subcommand that builds its object
+NAN_KEYS = [key for key, (kind, _, _) in DEFAULTS.items() if kind in ("float", "floats")]
+
+
+def _nan_command(tmp_path, key):
+    if key.startswith("scenario."):
+        return "generate", ["generate", "--out", str(tmp_path / "out.csv")]
+    trace = str(_gen(tmp_path, "in.csv"))
+    if key.startswith("train."):
+        return "train", ["train", "--trace", trace, "--out", str(tmp_path / "out.csv"), *TINY]
+    return "eval", ["eval", "--trace", trace, "--policy", "local",
+                    "--out", str(tmp_path / "out.csv")]
+
+
+@pytest.mark.parametrize("key", NAN_KEYS)
+def test_nan_config_value_is_a_one_line_error(tmp_path, capsys, key):
+    cmd, argv = _nan_command(tmp_path, key)
+    capsys.readouterr()
+    rc = main([*argv, "--set", f"{key}=nan"])
+    err = capsys.readouterr().err
+    assert rc == 1, key
+    assert err.startswith(f"error: {cmd}: ") and err.count("\n") == 1, err
+    assert key.split(".")[-1] in err  # the message names the bad field
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("kind, flag, value, message", [
+    ("channel", "--grid", "nan,5", "channel rates must be positive"),
+    ("channel", "--fixed-q", "nan", "server delay must be non-negative"),
+    ("queue", "--grid", "nan,5", "server delay must be non-negative"),
+    ("queue", "--fixed-phi", "nan", "channel rates must be positive"),
+])
+def test_sweep_rejects_nan_draws(tmp_path, capsys, kind, flag, value, message):
+    out = tmp_path / "s.csv"
+    grid = [] if flag == "--grid" else ["--grid", "2,5"]
+    assert main(["sweep", kind, *grid, flag, value, "--out", str(out)]) == 1
+    assert capsys.readouterr().err == f"error: sweep: {message}\n"
+    assert not out.exists()
+
+
 def test_eval_rejects_bad_seed_list(tmp_path, capsys):
     trace = _gen(tmp_path)
     rc = main(
@@ -297,6 +359,13 @@ def test_sweep_rejects_bad_grid(tmp_path, capsys):
     rc = main(["sweep", "channel", "--grid", "12:2:1", "--out", str(tmp_path / "s.csv")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("error: sweep:")
+
+
+@pytest.mark.parametrize("grid", ["nan:5:1", "0:nan:1", "0:inf:1", "inf:inf:1"])
+def test_sweep_rejects_non_finite_grid_range(tmp_path, capsys, grid):
+    rc = main(["sweep", "channel", "--grid", grid, "--out", str(tmp_path / "s.csv")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"error: sweep: bad grid range {grid!r}\n"
 
 
 def test_dump_config_subcommand(capsys):

@@ -2,17 +2,18 @@ import numpy as np
 import pytest
 
 from offloadlab.channel import ChannelModel, sample_capacity
-from offloadlab.cost import Action, CostBreakdown, SystemParams, total_cost
+from offloadlab.cost import COMPOSITIONS, Action, CostBreakdown, SystemParams, total_cost
 from offloadlab.env import (
     BLOCK_FRAMES,
     REWARD_BASES,
     OffloadEnv,
     RewardParams,
     replay_blocks,
+    replay_outcomes,
     reward_with_case,
 )
 from offloadlab.queueing import QueueModel, sample_delay
-from offloadlab.scenario import GeneratorParams, generate_synthetic
+from offloadlab.scenario import GeneratorParams, generate_synthetic, realized_map
 
 A0, A2, A3 = Action(0), Action(2), Action(3)
 RP = RewardParams()
@@ -181,6 +182,51 @@ def test_replay_blocks_follow_the_scalar_stream_across_block_edges(params, chann
         np.testing.assert_array_equal(q, q_want[t0 : t0 + m + 1])
         if i > 0:
             assert (phi[0], q[0]) == (blocks[i - 1][1][-1], blocks[i - 1][2][-1])
+
+
+# system parameters of the outcome-table check: idle power, a deadline no
+# action meets on slow draws, and zero powers that tie every energy
+OUTCOME_PARAMS = {
+    "default": {},
+    "idle_power": {"p_idle_w": 0.9},
+    "no_feasible_rows": {"l_th_ms": 60.0},
+    "tied_energies": {"p_local_w": 0.0, "p_tx_w": 0.0},
+}
+
+
+@pytest.mark.parametrize("basis", REWARD_BASES)
+@pytest.mark.parametrize("composition", COMPOSITIONS)
+@pytest.mark.parametrize("case", sorted(OUTCOME_PARAMS))
+def test_outcome_tables_equal_the_scalar_references_cell_for_cell(basis, composition, case):
+    # every action on every frame of a 600-frame replay (one block edge):
+    # deadline, realized quality, energy and reward against total_cost,
+    # realized_map and reward_with_case at the realized and the ranked draw
+    p = SystemParams(latency_composition=composition, **OUTCOME_PARAMS[case])
+    trace = generate_synthetic(GeneratorParams(), 600, seed=2)
+    channel, queue = ChannelModel(sigma=8.0), QueueModel(rho=0.97)
+    rows_without_feasible = rows_with_ties = 0
+    for t0, phi, q, _, _, tables in replay_outcomes(trace, channel, queue, p, RP, basis, seed=1):
+        phi, q = phi.tolist(), q.tolist()
+        for r in range(len(phi) - 1):
+            t = t0 + r
+            k = r + 1 if basis == "realized" else r
+            ranked = [total_cost(p, a, phi[k], phi[k], q[k]) for a in p.action_set]
+            feasible = [cb.e_total_j for cb in ranked if cb.l_total_ms <= p.l_th_ms]
+            rows_without_feasible += not feasible
+            rows_with_ties += len(set(feasible)) < len(feasible)
+            for col, action in enumerate(p.action_set):
+                cost = total_cost(p, action, phi[r + 1], phi[r + 1], q[r + 1])
+                met = cost.l_total_ms <= p.l_th_ms
+                reward, _ = reward_with_case(p, RP, trace.map_full[t], action, cost, feasible,
+                                             ranked[col].e_total_j)
+                want = (met, realized_map(trace, t, action, met, p.offload_order),
+                        cost.e_total_j, reward)
+                assert tuple(table[r, col] for table in tables) == want, (t, action.name)
+    assert t0 == BLOCK_FRAMES
+    if case == "no_feasible_rows":
+        assert rows_without_feasible
+    if case == "tied_energies":
+        assert rows_with_ties
 
 
 def test_local_action_costs_are_seed_invariant(small_trace):
