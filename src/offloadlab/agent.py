@@ -119,29 +119,34 @@ class QNetwork:
     def n_actions(self) -> int:
         return len(self.actions)
 
-    def _stack(self, features, phi, q):
-        f = np.atleast_2d(np.asarray(features, dtype=float))
-        phi = np.atleast_1d(np.asarray(phi, dtype=float))
-        q = np.atleast_1d(np.asarray(q, dtype=float))
+    def _features(self, features) -> np.ndarray:
+        f = np.asarray(features, dtype=float)
+        if f.ndim < 2:
+            f = f.reshape(1, -1)
         if f.shape[1] != self.k:
             raise ValueError(f"expected {self.k} features, got {f.shape[1]}")
-        return f, phi / self.phi_max, q / self.q_norm
+        return f
+
+    def _head_input(self, emb: np.ndarray, phi, q) -> np.ndarray:
+        """The embedding beside the normalized observations, one row per state."""
+        c = self.ctx_out
+        x = np.empty((len(emb), c + 2))
+        x[:, :c] = emb
+        np.divide(phi, self.phi_max, out=x[:, c])
+        np.divide(q, self.q_norm, out=x[:, c + 1])
+        return x
 
     def forward(self, features, phi, q) -> np.ndarray:
         """Action values, shape (batch, n_actions)."""
-        f, nphi, nq = self._stack(features, phi, q)
-        emb = self.ctx.forward(f)
-        x = np.concatenate([emb, nphi[:, None], nq[:, None]], axis=1)
-        return self.head.forward(x)
+        emb = self.ctx.forward(self._features(features))
+        return self.head.forward(self._head_input(emb, phi, q))
 
     def forward_state(self, state: State) -> np.ndarray:
         return self.forward(state.features, state.phi_obs, state.q_obs)[0]
 
     def forward_cache(self, features, phi, q):
-        f, nphi, nq = self._stack(features, phi, q)
-        emb, ctx_cache = self.ctx.forward_cache(f)
-        x = np.concatenate([emb, nphi[:, None], nq[:, None]], axis=1)
-        out, head_cache = self.head.forward_cache(x)
+        emb, ctx_cache = self.ctx.forward_cache(self._features(features))
+        out, head_cache = self.head.forward_cache(self._head_input(emb, phi, q))
         return out, (ctx_cache, head_cache)
 
     def backward(self, cache, grad_out: np.ndarray) -> np.ndarray:
@@ -149,7 +154,7 @@ class QNetwork:
         (the layout of ``theta``)."""
         ctx_cache, head_cache = cache
         _, _, gx = self.head.backward(head_cache, grad_out)
-        self.ctx.backward(ctx_cache, gx[:, : self.ctx_out])
+        self.ctx.backward(ctx_cache, gx[:, : self.ctx_out], input_grad=False)
         return self.grad
 
     def parameters(self) -> list[np.ndarray]:
@@ -188,7 +193,14 @@ def act(net: QNetwork, state: State, epsilon: float, rng: np.random.Generator | 
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring buffer over transitions."""
+    """Fixed-capacity ring buffer over transitions.
+
+    The replay is exogenous: a transition at frame ``t`` of a trace moves to
+    trace row ``min(t + 1, n - 1)`` whatever the action. So the buffer keeps
+    a reference to each trace's ``features`` array and, per transition, the
+    two row numbers, the observed ``phi``/``q`` of both states, the action,
+    the reward and the terminal flag; no feature row is copied.
+    """
 
     def __init__(self, capacity: int, k: int):
         if capacity < 1:
@@ -197,47 +209,80 @@ class ReplayBuffer:
         self.k = k
         self._n = 0
         self._head = 0
-        self.features = np.zeros((capacity, k))
-        self.phi = np.zeros(capacity)
-        self.q = np.zeros(capacity)
+        # the feature arrays that transitions point into
+        self._sources: list[np.ndarray] = []
+        self.source = np.zeros(capacity, dtype=np.intp)
+        # row 0 is the current state, row 1 the next one, so that one gather
+        # of a column sample is already stacked current-then-next
+        self.frame = np.zeros((2, capacity), dtype=np.intp)
+        self.phi = np.zeros((2, capacity))
+        self.q = np.zeros((2, capacity))
         self.action = np.zeros(capacity, dtype=np.int64)
         self.reward = np.zeros(capacity)
-        self.next_features = np.zeros((capacity, k))
-        self.next_phi = np.zeros(capacity)
-        self.next_q = np.zeros(capacity)
         self.terminal = np.zeros(capacity)
 
     def __len__(self) -> int:
         return self._n
 
-    def push(self, state: State, action_index: int, reward: float,
-             next_state: State, terminal: bool) -> None:
+    def _source_id(self, features: np.ndarray) -> int:
+        for i, held in enumerate(self._sources):
+            if held is features:
+                return i
+        if features.ndim != 2 or features.shape[1] != self.k:
+            raise ValueError(f"expected an (n, {self.k}) feature array, got {features.shape}")
+        # reuse the slot of an array that no stored transition points into
+        live = set(self.source[: self._n].tolist())
+        for i in range(len(self._sources)):
+            if i not in live:
+                self._sources[i] = features
+                return i
+        self._sources.append(features)
+        return len(self._sources) - 1
+
+    def push(self, features: np.ndarray, t: int, state: State, action_index: int,
+             reward: float, next_state: State, terminal: bool) -> None:
+        """Store the step from frame ``t`` of the trace whose feature array is
+        ``features``; ``state`` and ``next_state`` give the observations, and
+        their feature rows are ``features[t]`` and ``features[min(t + 1, n - 1)]``."""
         i = self._head
-        self.features[i] = state.features
-        self.phi[i] = state.phi_obs
-        self.q[i] = state.q_obs
+        self.source[i] = self._source_id(features)
+        self.frame[0, i] = t
+        self.frame[1, i] = min(t + 1, len(features) - 1)
+        self.phi[0, i] = state.phi_obs
+        self.phi[1, i] = next_state.phi_obs
+        self.q[0, i] = state.q_obs
+        self.q[1, i] = next_state.q_obs
         self.action[i] = action_index
         self.reward[i] = reward
-        self.next_features[i] = next_state.features
-        self.next_phi[i] = next_state.phi_obs
-        self.next_q[i] = next_state.q_obs
         self.terminal[i] = 1.0 if terminal else 0.0
         self._head = (i + 1) % self.capacity
         self._n = min(self._n + 1, self.capacity)
 
     def sample(self, rng: np.random.Generator, batch_size: int) -> dict[str, np.ndarray]:
+        """``batch_size`` transitions drawn uniformly with replacement.
+
+        ``features``, ``phi`` and ``q`` hold ``2 * batch_size`` rows: the
+        current states, then the next states in the same order.
+        """
         if self._n < batch_size:
             raise ValueError(f"buffer holds {self._n} transitions, need {batch_size}")
         idx = rng.integers(self._n, size=batch_size)
+        # ``take`` gathers these columns several times faster than ``[:, idx]``
+        rows = self.frame.take(idx, axis=1).reshape(-1)
+        if len(self._sources) == 1:
+            features = self._sources[0].take(rows, axis=0)
+        else:
+            src = np.tile(self.source[idx], 2)
+            features = np.empty((2 * batch_size, self.k))
+            for s in np.unique(src).tolist():
+                mask = src == s
+                features[mask] = self._sources[s][rows[mask]]
         return {
-            "features": self.features[idx],
-            "phi": self.phi[idx],
-            "q": self.q[idx],
+            "features": features,
+            "phi": self.phi.take(idx, axis=1).reshape(-1),
+            "q": self.q.take(idx, axis=1).reshape(-1),
             "action": self.action[idx],
             "reward": self.reward[idx],
-            "next_features": self.next_features[idx],
-            "next_phi": self.next_phi[idx],
-            "next_q": self.next_q[idx],
             "terminal": self.terminal[idx],
         }
 
@@ -253,22 +298,23 @@ def train_step(online: QNetwork, target: QNetwork, batch: dict, lr: float,
                gamma: float, optimizer: Adam | None = None) -> float:
     """One gradient step on the mean squared TD error of the taken actions.
 
-    Plain gradient descent at ``lr`` unless an optimizer instance is given.
+    ``batch`` is laid out as ``ReplayBuffer.sample`` returns it. Plain
+    gradient descent at ``lr`` unless an optimizer instance is given.
     Returns the pre-step loss.
     """
     n = len(batch["action"])
     rows = np.arange(n)
+    features, phi, q = batch["features"], batch["phi"], batch["q"]
     # one online pass over the current states stacked on the next states
-    q_online, cache = online.forward_cache(
-        *(np.concatenate([batch[key], batch["next_" + key]]) for key in ("features", "phi", "q"))
-    )
+    q_online, cache = online.forward_cache(features, phi, q)
     q_pred, q_next_online = q_online[:n], q_online[n:]
-    q_next_target = target.forward(batch["next_features"], batch["next_phi"], batch["next_q"])
+    q_next_target = target.forward(features[n:], phi[n:], q[n:])
     best = np.argmax(q_next_online, axis=1)
     targets = batch["reward"] + gamma * (1.0 - batch["terminal"]) * q_next_target[rows, best]
     taken = q_pred[rows, batch["action"]]
     diff = taken - targets
-    loss = float(np.mean(diff * diff))
+    # np.mean's own arithmetic, without its wrapper
+    loss = float(np.add.reduce(diff * diff) / n)
     grad_out = np.zeros_like(q_pred)
     grad_out[rows, batch["action"]] = 2.0 * diff / len(rows)
     # backpropagate through the current-state rows of the cache only
@@ -328,7 +374,8 @@ def train(env_factory, config: TrainConfig) -> tuple[QNetwork, list[EpisodeLog]]
         while not env.done:
             a_idx = act(net, state, epsilon_at(config, step), act_rng)
             result = env.step(net.actions[a_idx])
-            buffer.push(state, a_idx, result.reward, result.next_state, env.done)
+            buffer.push(env.trace.features, result.frame_index, state, a_idx, result.reward,
+                        result.next_state, env.done)
             rewards.append(result.reward)
             if len(buffer) >= config.batch_size:
                 loss = train_step(net, target, buffer.sample(sample_rng, config.batch_size),

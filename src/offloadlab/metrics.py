@@ -86,7 +86,8 @@ def evaluate(
 
     ``total_energy_j`` is the per-replay total (pooled energy divided by the
     seed count); ``energy_reduction_pct`` compares it against the all-local
-    policy, whose per-frame cost is draw-independent.
+    policy, whose per-frame cost is draw-independent, and is ``nan`` when
+    that policy spends no energy (``p_local_w = 0``).
     """
     seed_list = _resolve_seeds(seeds)
     check_replay(trace, params, reward_basis)
@@ -143,7 +144,8 @@ def evaluate(
         risky_pct=risky_pct,
         robust_pct=100.0 - risky_pct,
         total_energy_j=total_energy,
-        energy_reduction_pct=100.0 * (1.0 - total_energy / e_local_total),
+        energy_reduction_pct=(100.0 * (1.0 - total_energy / e_local_total)
+                              if e_local_total > 0 else math.nan),
         deadline_miss_pct=100.0 * int(np.count_nonzero(~met)) / len(chosen),
         mean_reward=float(np.mean(rewards)),
         steps=steps,

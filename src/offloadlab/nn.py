@@ -49,16 +49,18 @@ class MLP:
         for w, b in zip(self.weights, self.biases):
             w[...] = rng.normal(0.0, np.sqrt(2.0 / w.shape[1]), w.shape)
             b[...] = 0.0
-
-    def _apply_relu(self, layer: int) -> bool:
-        return layer < len(self.weights) - 1 or self.out_relu
+        # ReLU after each layer: every hidden one, the output one if out_relu
+        self._relu = (True,) * (len(self.weights) - 1) + (out_relu,)
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         h = x
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            h = h @ w.T + b
-            if self._apply_relu(layer):
-                h = np.maximum(h, 0.0)
+        for w, b, relu in zip(self.weights, self.biases, self._relu):
+            # in place on the product: the same additions and maxima as
+            # ``np.maximum(h @ w.T + b, 0.0)`` without two temporaries
+            h = h @ w.T
+            h += b
+            if relu:
+                np.maximum(h, 0.0, out=h)
         return h
 
     def forward_cache(self, x: np.ndarray):
@@ -66,27 +68,32 @@ class MLP:
         inputs = []
         pre = []
         h = x
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
+        for w, b, relu in zip(self.weights, self.biases, self._relu):
             inputs.append(h)
-            z = h @ w.T + b
+            z = h @ w.T
+            z += b
             pre.append(z)
-            h = np.maximum(z, 0.0) if self._apply_relu(layer) else z
+            h = np.maximum(z, 0.0) if relu else z
         return h, (inputs, pre)
 
-    def backward(self, cache, grad_out: np.ndarray):
+    def backward(self, cache, grad_out: np.ndarray, input_grad: bool = True):
         """Gradients for every weight/bias plus the gradient w.r.t. the input.
 
         ``grad_out`` is dLoss/dOutput for the batch passed to forward_cache.
         The parameter gradients are written into ``grad``; returns
         (grad_weights, grad_biases, grad_input), the first two being views.
+        With ``input_grad=False`` the first layer's input product is skipped
+        and grad_input is None; the parameter gradients are the same bits.
         """
         inputs, pre = cache
         g = grad_out
         for layer in range(len(self.weights) - 1, -1, -1):
-            if self._apply_relu(layer):
+            if self._relu[layer]:
                 g = g * (pre[layer] > 0.0)
             np.matmul(g.T, inputs[layer], out=self.grad_weights[layer])
-            np.sum(g, axis=0, out=self.grad_biases[layer])
+            np.add.reduce(g, axis=0, out=self.grad_biases[layer])
+            if layer == 0 and not input_grad:
+                return self.grad_weights, self.grad_biases, None
             g = g @ self.weights[layer]
         return self.grad_weights, self.grad_biases, g
 

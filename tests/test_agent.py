@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from offloadlab import atomic
+from offloadlab import agent, atomic
 from offloadlab.agent import (
     EpisodeLog,
     QNetwork,
@@ -109,8 +109,9 @@ def test_act_exploration_is_uniform():
 
 
 def _one_transition(s, action, reward, s_next, terminal):
+    # a two-frame trace: frame 0 is s and frame 1, its successor, is s_next
     buf = ReplayBuffer(capacity=1, k=len(s.features))
-    buf.push(s, action, reward, s_next, terminal)
+    buf.push(np.stack([s.features, s_next.features]), 0, s, action, reward, s_next, terminal)
     return buf.sample(np.random.default_rng(0), 1)
 
 
@@ -146,42 +147,151 @@ def test_ddqn_equal_nets_reduce_to_q_learning():
     assert loss == pytest.approx(err * err, rel=1e-12)
 
 
+class CopyReplayBuffer:
+    """Reference ring buffer that copies both states' feature rows, as the
+    environment hands them over, and stacks a batch with ``np.concatenate``
+    into the layout of ``ReplayBuffer.sample``."""
+
+    def __init__(self, capacity, k):
+        self.capacity = capacity
+        self._n = 0
+        self._head = 0
+        self.features = np.zeros((capacity, k))
+        self.phi = np.zeros(capacity)
+        self.q = np.zeros(capacity)
+        self.action = np.zeros(capacity, dtype=np.int64)
+        self.reward = np.zeros(capacity)
+        self.next_features = np.zeros((capacity, k))
+        self.next_phi = np.zeros(capacity)
+        self.next_q = np.zeros(capacity)
+        self.terminal = np.zeros(capacity)
+
+    def __len__(self):
+        return self._n
+
+    def push(self, features, t, state, action_index, reward, next_state, terminal):
+        i = self._head
+        self.features[i] = state.features
+        self.phi[i] = state.phi_obs
+        self.q[i] = state.q_obs
+        self.action[i] = action_index
+        self.reward[i] = reward
+        self.next_features[i] = next_state.features
+        self.next_phi[i] = next_state.phi_obs
+        self.next_q[i] = next_state.q_obs
+        self.terminal[i] = 1.0 if terminal else 0.0
+        self._head = (i + 1) % self.capacity
+        self._n = min(self._n + 1, self.capacity)
+
+    def sample(self, rng, batch_size):
+        if self._n < batch_size:
+            raise ValueError(f"buffer holds {self._n} transitions, need {batch_size}")
+        idx = rng.integers(self._n, size=batch_size)
+        batch = {key: np.concatenate([getattr(self, key)[idx], getattr(self, "next_" + key)[idx]])
+                 for key in ("features", "phi", "q")}
+        batch.update(action=self.action[idx], reward=self.reward[idx],
+                     terminal=self.terminal[idx])
+        return batch
+
+
+def _push_episode(buffers, features, rng):
+    """Push one episode over ``features`` into every buffer, states built as
+    ``OffloadEnv`` builds them: frame t, then the clamped next frame."""
+    n = len(features)
+    obs = rng.uniform(1.0, 20.0, size=(n + 1, 2))
+    for t in range(n):
+        state = State(features[t], *obs[t])
+        next_state = State(features[min(t + 1, n - 1)], *obs[t + 1])
+        action, reward = int(rng.integers(3)), float(rng.normal())
+        for buf in buffers:
+            buf.push(features, t, state, action, reward, next_state, t == n - 1)
+
+
+def _assert_same_batch(got, want):
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key].dtype == want[key].dtype, key
+        np.testing.assert_array_equal(got[key], want[key], err_msg=key)
+
+
+def test_replay_buffer_matches_the_copy_reference():
+    # three traces of different lengths through an 8-slot ring: it wraps
+    # around, every episode ends on a clamped terminal row, the buffer holds
+    # two traces at once, and trace c takes the slot of a, which no stored
+    # transition points into any more by then
+    rng = np.random.default_rng(4)
+    a, b, c = (rng.normal(size=(n, 4)) for n in (5, 6, 3))
+    buf, ref = ReplayBuffer(capacity=8, k=4), CopyReplayBuffer(capacity=8, k=4)
+    for features in (a, b, a, b, b, c, a):
+        _push_episode((buf, ref), features, rng)
+        for batch_size in (1, len(buf)):
+            seed = int(rng.integers(1000))
+            _assert_same_batch(buf.sample(np.random.default_rng(seed), batch_size),
+                               ref.sample(np.random.default_rng(seed), batch_size))
+
+
 def test_replay_buffer_ring_and_sampling():
+    # frame t of the trace is filled with t, so a row names its frame
+    features = np.repeat(np.arange(11.0)[:, None], 4, axis=1)
     buf = ReplayBuffer(capacity=8, k=4)
     assert len(buf) == 0
     with pytest.raises(ValueError):
         buf.sample(np.random.default_rng(0), 1)
     for t in range(11):
-        buf.push(_state(fill=t), t % 3, -float(t), _state(fill=t + 1), t == 10)
+        nxt = min(t + 1, 10)
+        buf.push(features, t, State(features[t], 8.0 + t, 15.0 + t), t % 3, -float(t),
+                 State(features[nxt], 8.0 + nxt, 15.0 + nxt), t == 10)
     assert len(buf) == 8
     batch = buf.sample(np.random.default_rng(0), 6)
-    assert batch["features"].shape == (6, 4)
-    assert batch["next_features"].shape == (6, 4)
+    # current states, then the next states in the same order
+    assert batch["features"].shape == (12, 4)
+    assert batch["phi"].shape == batch["q"].shape == (12,)
+    assert batch["action"].shape == batch["reward"].shape == batch["terminal"].shape == (6,)
+    t = batch["features"][:6, 0]
+    np.testing.assert_array_equal(batch["features"][6:, 0], np.minimum(t + 1, 10))
+    np.testing.assert_array_equal(batch["phi"], 8.0 + np.concatenate([t, np.minimum(t + 1, 10)]))
+    np.testing.assert_array_equal(batch["reward"], -t)
+    np.testing.assert_array_equal(batch["terminal"], t == 10)
     # the first three pushes were overwritten by the ring
-    assert batch["reward"].min() >= -10.0
-    assert batch["reward"].max() <= -3.0
+    assert t.min() >= 3.0
     assert set(batch["action"]) <= {0, 1, 2}
+
+
+def test_replay_buffer_stores_no_feature_rows():
+    features = np.zeros((100, 4))
+    buf = ReplayBuffer(capacity=50_000, k=4)
+    buf.push(features, 99, State(features[99], 8.0, 15.0), 0, 0.0,
+             State(features[99], 8.0, 15.0), True)
+    stored = [v for v in vars(buf).values() if isinstance(v, np.ndarray)]
+    assert all(v.size <= 2 * buf.capacity for v in stored)
+    batch = buf.sample(np.random.default_rng(0), 1)
+    np.testing.assert_array_equal(batch["features"], np.zeros((2, 4)))
 
 
 def test_replay_buffer_rejects_oversized_batch():
     buf = ReplayBuffer(capacity=8, k=4)
-    buf.push(_state(), 0, 0.0, _state(), False)
+    features = np.zeros((1, 4))
+    buf.push(features, 0, _state(), 0, 0.0, _state(), True)
     with pytest.raises(ValueError):
         buf.sample(np.random.default_rng(0), 2)
 
 
+def test_replay_buffer_rejects_a_trace_of_another_width():
+    buf = ReplayBuffer(capacity=8, k=4)
+    with pytest.raises(ValueError, match="feature array"):
+        buf.push(np.zeros((3, 5)), 0, _state(k=5), 0, 0.0, _state(k=5), False)
+
+
 def _batch_from(net, n=4, k=4, reward=0.0, terminal=True):
+    # the layout of ReplayBuffer.sample: current states, then next states
     rng = np.random.default_rng(0)
     feats = rng.normal(size=(n, k))
     return {
-        "features": feats,
-        "phi": np.full(n, 8.0),
-        "q": np.full(n, 15.0),
+        "features": np.concatenate([feats, feats]),
+        "phi": np.full(2 * n, 8.0),
+        "q": np.full(2 * n, 15.0),
         "action": np.zeros(n, dtype=int),
         "reward": np.full(n, reward),
-        "next_features": feats,
-        "next_phi": np.full(n, 8.0),
-        "next_q": np.full(n, 15.0),
         "terminal": np.full(n, terminal),
     }
 
@@ -271,6 +381,26 @@ def test_train_calls_factory_per_episode():
 
     train(factory, _tiny_config(episodes=3))
     assert seen == [0, 1, 2]
+
+
+def test_train_on_alternating_traces_matches_the_copy_buffer(tmp_path, monkeypatch):
+    # two traces of the same width and different lengths, one per episode;
+    # 150 steps through a 64-slot ring, so it wraps and holds both traces
+    traces = [generate_synthetic(GeneratorParams(k=8), n, seed=s) for n, s in ((60, 0), (45, 3))]
+    params = SystemParams()
+
+    def factory(episode):
+        return OffloadEnv(traces[episode % 2], ChannelModel(sigma=8.0), QueueModel(), params)
+
+    cfg = _tiny_config(episodes=3, buffer_capacity=64)
+    outputs = []
+    for buffer_class in (ReplayBuffer, CopyReplayBuffer):
+        monkeypatch.setattr(agent, "ReplayBuffer", buffer_class)
+        net, logs = train(factory, cfg)
+        path = tmp_path / f"{buffer_class.__name__}.ckpt"
+        save_checkpoint(net, path)
+        outputs.append((path.read_bytes(), logs))
+    assert outputs[0] == outputs[1]
 
 
 def test_divergence_detector_trips():

@@ -196,6 +196,19 @@ def test_eval_reruns_are_byte_identical(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_energy_reduction_is_nan_when_local_spends_nothing(tmp_path, capsys):
+    # p_local_w = 0 makes the all-local baseline energy 0: no reduction to report
+    trace = _gen(tmp_path)
+    out = tmp_path / "r.csv"
+    assert main(["eval", "--trace", str(trace), "--policy", "local", "--out", str(out),
+                 "--seeds", "0", "--set", "p_local_w=0"]) == 0
+    header, row = out.read_text().splitlines()
+    cells = dict(zip(header.split(","), row.split(",")))
+    assert cells["total_energy_j"] == "0.0"
+    assert cells["energy_reduction_pct"] == "nan"
+    assert capsys.readouterr().err == ""
+
+
 def test_eval_drl_requires_checkpoint(tmp_path, capsys):
     trace = _gen(tmp_path)
     rc = main(["eval", "--trace", str(trace), "--policy", "drl", "--out", str(tmp_path / "r.csv")])

@@ -112,6 +112,43 @@ def test_gradient_wrt_input():
         assert grad_x[0, j] == pytest.approx(numeric, rel=1e-5, abs=1e-8)
 
 
+@pytest.mark.parametrize("batch", [1, 7, 128])
+def test_forward_matches_the_textbook_expression_bit_for_bit(batch):
+    # the passes add biases and apply ReLUs in place; every value must still
+    # be that of relu(h @ W.T + b), layer by layer
+    rng = np.random.default_rng(batch)
+    net = MLP([16, 32, 8], rng, out_relu=True)
+    for b in net.biases:
+        b[:] = rng.normal(0.0, 0.1, b.shape)
+    x = rng.normal(size=(batch, 16))
+    keep = x.copy()
+    want = x
+    for w, b in zip(net.weights, net.biases):
+        want = np.maximum(want @ w.T + b, 0.0)
+    assert net.forward(x).tobytes() == want.tobytes()
+    assert net.forward_cache(x)[0].tobytes() == want.tobytes()
+    assert x.tobytes() == keep.tobytes()
+
+
+@pytest.mark.parametrize("sizes, out_relu", [([3, 5, 2], False), ([16, 32, 8], True),
+                                              ([4, 1], False), ([10, 64, 64, 3], False)])
+@pytest.mark.parametrize("batch", [1, 64])
+def test_backward_without_input_gradient_writes_the_same_grad_bits(sizes, out_relu, batch):
+    rng = np.random.default_rng(len(sizes) * batch)
+    net = MLP(sizes, rng, out_relu=out_relu)
+    for b in net.biases:
+        b[:] = rng.normal(0.0, 0.1, b.shape)
+    out, cache = net.forward_cache(rng.normal(size=(batch, sizes[0])))
+    grad_out = rng.normal(size=out.shape)
+    _, _, grad_x = net.backward(cache, grad_out)
+    assert grad_x.shape == (batch, sizes[0])
+    want = net.grad.copy()
+    net.grad[:] = np.nan
+    _, _, skipped = net.backward(cache, grad_out, input_grad=False)
+    assert skipped is None
+    assert net.grad.tobytes() == want.tobytes()
+
+
 def test_sgd_step_is_plain_descent():
     params = [np.array([1.0, 2.0]), np.array([[3.0]])]
     grads = [np.array([0.5, -1.0]), np.array([[2.0]])]

@@ -1,13 +1,22 @@
-"""Properties of the cost model and the reward table over random inputs."""
+"""Properties of the cost model, the reward table, the replay blocks and the
+checkpoint format over random inputs."""
 
 import math
+import tempfile
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from offloadlab import env
+from offloadlab.agent import QNetwork, load_checkpoint, save_checkpoint
+from offloadlab.channel import ChannelModel
 from offloadlab.cost import COMPOSITIONS, CostBreakdown, SystemParams, cost_table, total_cost
-from offloadlab.env import RewardParams, reward_table, reward_with_case
+from offloadlab.env import REWARD_BASES, RewardParams, reward_table, reward_with_case
+from offloadlab.queueing import QueueModel
+from offloadlab.scenario import GeneratorParams, generate_synthetic
 
 # few examples: the suite's time goes to training, not to these checks
 SETTINGS = settings(max_examples=40, deadline=None, database=None)
@@ -90,3 +99,60 @@ def test_reward_table_equals_reward_with_case(rows):
         for col, action in enumerate(params.action_set):
             want, _ = reward_with_case(params, rp, m, action, _cost(lat[col]), feasible, rank_e[col])
             assert table[r, col] == want
+
+
+architectures = st.fixed_dictionaries({
+    "k": st.integers(1, 6),
+    "actions": st.sampled_from([(0, 4), (0, 2, 3), (0, 1, 2, 3, 4)]),
+    "ctx_hidden": st.lists(st.integers(1, 6), max_size=2).map(tuple),
+    "ctx_out": st.integers(1, 4),
+    "state_hidden": st.lists(st.integers(1, 6), max_size=2).map(tuple),
+    "phi_max": st.floats(min_value=1e-3, max_value=1e6),
+    "q_norm": st.floats(min_value=1e-3, max_value=1e6),
+})
+
+
+@settings(max_examples=20, deadline=None, database=None)
+@given(architectures, st.integers(0, 2**32 - 1))
+def test_checkpoint_round_trip_is_bit_exact(arch, seed):
+    rng = np.random.default_rng(seed)
+    net = QNetwork(rng=rng, **arch)
+    # values across the whole exponent range, subnormals and signed zeros included
+    size = net.theta.size
+    net.theta[:] = rng.normal(size=size) * 10.0 ** rng.integers(-320, 300, size)
+    net.theta[rng.random(size) < 0.1] = -0.0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "net.ckpt"
+        save_checkpoint(net, path)
+        back = load_checkpoint(path)
+    assert back.theta.tobytes() == net.theta.tobytes()
+    assert (back.k, back.actions, back.ctx_out, back.phi_max, back.q_norm) == (
+        net.k, net.actions, net.ctx_out, net.phi_max, net.q_norm)
+    assert (back.ctx.sizes, back.head.sizes) == (net.ctx.sizes, net.head.sizes)
+
+
+def _stitched_replay(trace, params, basis, seed, block_frames):
+    """Every row of one replay, whatever the blocks: the draws with their
+    cost tables (n + 1 rows) and the outcome tables (n rows)."""
+    with mock.patch.object(env, "BLOCK_FRAMES", block_frames):
+        blocks = list(env.replay_outcomes(trace, ChannelModel(sigma=8.0), QueueModel(rho=0.97),
+                                          params, RewardParams(), basis, seed))
+    assert [b[0] for b in blocks] == list(range(0, len(trace), block_frames))
+    # each block opens on the row the previous one ended with
+    draws = [np.concatenate([b[i][min(j, 1):] for j, b in enumerate(blocks)])
+             for i in (1, 2, 3, 4)]
+    tables = [np.concatenate([b[5][i] for b in blocks]) for i in range(4)]
+    return draws + tables
+
+
+@settings(max_examples=15, deadline=None, database=None)
+@given(st.integers(1, 1100), st.integers(0, 2**31 - 1), st.sampled_from(COMPOSITIONS),
+       st.sampled_from(REWARD_BASES))
+@example(1030, 5, "additive", "realized")  # two blocks of 512 and a short one
+def test_replay_rows_do_not_depend_on_where_blocks_split(n_frames, seed, composition, basis):
+    trace = generate_synthetic(GeneratorParams(k=2), n_frames, seed=seed)
+    params = SystemParams(latency_composition=composition)
+    small, large = (_stitched_replay(trace, params, basis, seed, size) for size in (7, 512))
+    for a, b in zip(small, large):
+        assert a.shape[0] in (n_frames, n_frames + 1)
+        np.testing.assert_array_equal(a, b)
