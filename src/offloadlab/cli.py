@@ -220,13 +220,13 @@ def cmd_sweep(args) -> int:
     params = system_params(cfg)
     grid = _parse_grid(args.grid)
     if args.kind == "channel":
-        rows = sweep_channel(params, grid, fixed_q_ms=args.fixed_q)
-        write_sweep(rows, params, "phi_mbps", args.out)
+        table = sweep_channel(params, grid, fixed_q_ms=args.fixed_q)
+        write_sweep(table, params, "phi_mbps", args.out)
     else:
-        rows = sweep_queue(params, grid, fixed_phi_mbps=args.fixed_phi)
-        write_sweep(rows, params, "q_ms", args.out)
+        table = sweep_queue(params, grid, fixed_phi_mbps=args.fixed_phi)
+        write_sweep(table, params, "q_ms", args.out)
     write_manifest(args.out, f"sweep {args.kind}", cfg, [], [args.out])
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {len(table)} rows to {args.out}")
     return 0
 
 

@@ -17,7 +17,7 @@ from .cost import Action, SystemParams, cost_table, total_cost
 from .env import RewardParams, check_replay, replay_outcomes
 from .policies import ObservationBlock, Policy
 from .queueing import QueueModel
-from .scenario import ScenarioTrace
+from .scenario import CHUNK_ROWS, ScenarioTrace
 
 
 @dataclass(slots=True)
@@ -201,36 +201,41 @@ def write_eval_reports(reports, params: SystemParams, path) -> None:
     write_atomic(path, write)
 
 
-@dataclass(slots=True)
-class SweepRow:
-    swept_value: float
-    l_total_ms: dict[str, float]
-    e_total_j: dict[str, float]
-    feasible: dict[str, bool]
+@dataclass(frozen=True, slots=True)
+class SweepTable:
+    """A cost sweep as columns: row ``r`` is grid point ``swept_value[r]``.
+
+    ``l_total_ms`` and ``e_total_j`` are ``(n, A)`` tables from ``cost_table``
+    with one column per action of ``params.action_set``, in its order, and
+    ``feasible`` marks the cells whose latency meets ``l_th_ms``.
+    """
+
+    swept_value: np.ndarray
+    l_total_ms: np.ndarray
+    e_total_j: np.ndarray
+    feasible: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.swept_value)
 
 
-def _sweep_rows(params: SystemParams, values, phi, q) -> list[SweepRow]:
+def _sweep_table(params: SystemParams, values, phi, q) -> SweepTable:
     if len(values) == 0:
         raise ValueError("empty sweep grid")
     latency, energy = cost_table(params, phi, q)
-    names = [a.name for a in params.action_set]
-    feasible = (latency <= params.l_th_ms).tolist()
-    return [
-        SweepRow(value, dict(zip(names, l_row)), dict(zip(names, e_row)), dict(zip(names, f_row)))
-        for value, l_row, e_row, f_row in zip(values, latency.tolist(), energy.tolist(), feasible)
-    ]
+    return SweepTable(values, latency, energy, latency <= params.l_th_ms)
 
 
-def sweep_channel(params: SystemParams, phi_grid, fixed_q_ms: float) -> list[SweepRow]:
+def sweep_channel(params: SystemParams, phi_grid, fixed_q_ms: float) -> SweepTable:
     """Deterministic cost table over uplink capacities at a fixed queue delay."""
-    values = list(phi_grid)
-    return _sweep_rows(params, values, values, fixed_q_ms)
+    values = np.array(list(phi_grid), dtype=float)
+    return _sweep_table(params, values, values, fixed_q_ms)
 
 
-def sweep_queue(params: SystemParams, q_grid, fixed_phi_mbps: float) -> list[SweepRow]:
+def sweep_queue(params: SystemParams, q_grid, fixed_phi_mbps: float) -> SweepTable:
     """Deterministic cost table over queue delays at a fixed capacity."""
-    values = list(q_grid)
-    return _sweep_rows(params, values, fixed_phi_mbps, values)
+    values = np.array(list(q_grid), dtype=float)
+    return _sweep_table(params, values, fixed_phi_mbps, values)
 
 
 def sweep_header(params: SystemParams, swept_name: str) -> list[str]:
@@ -246,15 +251,27 @@ def sweep_header(params: SystemParams, swept_name: str) -> list[str]:
     return cols
 
 
-def write_sweep(rows, params: SystemParams, swept_name: str, path) -> None:
+def write_sweep(table: SweepTable, params: SystemParams, swept_name: str, path) -> None:
+    """Write a sweep as CSV: the swept value, then per action its latency,
+    energy (both as ``repr``) and a 1/0 feasibility flag.
+
+    Cells are formatted a column at a time over chunks of ``CHUNK_ROWS``
+    rows, so the bytes do not depend on the chunking.
+    """
+    n_actions = len(params.action_set)
+    if table.l_total_ms.shape[1] != n_actions:
+        raise ValueError(f"sweep table has {table.l_total_ms.shape[1]} action columns, "
+                         f"the action set {n_actions}")
+
     def write(fh):
         fh.write(",".join(sweep_header(params, swept_name)) + "\n")
-        for row in rows:
-            cells = [repr(float(row.swept_value))]
-            for action in params.action_set:
-                cells.append(repr(row.l_total_ms[action.name]))
-                cells.append(repr(row.e_total_j[action.name]))
-                cells.append("1" if row.feasible[action.name] else "0")
-            fh.write(",".join(cells) + "\n")
+        for a in range(0, len(table), CHUNK_ROWS):
+            rows = slice(a, a + CHUNK_ROWS)
+            columns = [map(repr, table.swept_value[rows].tolist())]
+            for col in range(n_actions):
+                columns.append(map(repr, table.l_total_ms[rows, col].tolist()))
+                columns.append(map(repr, table.e_total_j[rows, col].tolist()))
+                columns.append(["1" if f else "0" for f in table.feasible[rows, col].tolist()])
+            fh.write("".join([",".join(cells) + "\n" for cells in zip(*columns)]))
 
     write_atomic(path, write)

@@ -4,6 +4,13 @@ from __future__ import annotations
 
 import numpy as np
 
+_TINY = np.finfo(np.float64).tiny
+# A float64's bits read as uint64, times -2 (mod 2**64), lose the sign bit and
+# send both zeros to 0; the product exceeds _SUBNORMAL_ABOVE exactly for the
+# subnormals, 0 < |x| < tiny.
+_MINUS_TWO = np.uint64(2**64 - 2)
+_SUBNORMAL_ABOVE = np.uint64(2**64 - 2**53)
+
 
 def param_count(sizes) -> int:
     """Weights plus biases of a dense stack with layer widths ``sizes``."""
@@ -112,9 +119,10 @@ class MLP:
 
 class Adam:
     """Adam updates over a fixed parameter list. State is positional, so the
-    same optimizer instance must always see the same list. Moments and two
+    same optimizer instance must always see the same list. Moments and
     scratch arrays per parameter are allocated on the first step; later
-    steps allocate nothing."""
+    steps allocate nothing. First-moment entries below the normal float
+    range are flushed to zero."""
 
     def __init__(self, lr: float, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
         if lr <= 0:
@@ -124,22 +132,37 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        # (m, v, scratch, scratch) per parameter
+        # (m, v, scratch, scratch, bool scratch, m and the first scratch
+        # viewed as uint64) per parameter
         self._state: list[tuple[np.ndarray, ...]] | None = None
+
+    @staticmethod
+    def _slots(p: np.ndarray) -> tuple[np.ndarray, ...]:
+        m, v, s, u = (np.zeros_like(p) for _ in range(4))
+        return m, v, s, u, np.zeros(p.shape, bool), m.view(np.uint64), s.view(np.uint64)
 
     def step(self, params: list[np.ndarray], grads: list[np.ndarray]) -> None:
         if self._state is None:
-            self._state = [tuple(np.zeros_like(p) for _ in range(4)) for p in params]
+            self._state = [self._slots(p) for p in params]
         if len(params) != len(self._state):
             raise ValueError("parameter list changed size")
         self.t += 1
         correct1 = 1.0 - self.beta1**self.t
         correct2 = 1.0 - self.beta2**self.t
-        for p, g, (m, v, s, u) in zip(params, grads, self._state):
+        for p, g, (m, v, s, u, low, m_bits, s_bits) in zip(params, grads, self._state):
             # m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*(g*g)
             m *= self.beta1
             np.multiply(1.0 - self.beta1, g, out=s)
             m += s
+            # A gradient held at 0 decays m by beta1 per step into the
+            # subnormal range, where arithmetic is slow: flush such entries
+            # to zero. Each would move p by at most lr * tiny / ((1 - beta1)
+            # * eps), below the last bit of any parameter of normal size.
+            np.multiply(m_bits, _MINUS_TWO, out=s_bits)
+            if s_bits.max() > _SUBNORMAL_ABOVE:
+                np.abs(m, out=s)
+                np.less(s, _TINY, out=low)
+                np.copyto(m, 0.0, where=low)
             v *= self.beta2
             np.multiply(g, g, out=s)
             np.multiply(1.0 - self.beta2, s, out=s)

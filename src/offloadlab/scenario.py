@@ -22,6 +22,9 @@ from .atomic import write_atomic
 
 ALWAYS_LOCAL = "radar"
 DEFAULT_OFFLOAD_ORDER = ("camera_left", "camera_right", "lidar")
+# rows per chunk of the array passes and CSV writers over a table of frames or
+# grid points: bounds their scratch memory whatever the table's length
+CHUNK_ROWS = 1024
 
 
 def local_subset_key(
@@ -203,6 +206,21 @@ def _embedding_slopes(k: int) -> np.ndarray:
     return sign * (0.6 + 0.4 * j / max(k - 1, 1))
 
 
+def _latent_path(gen: GeneratorParams, eps: list[float]) -> np.ndarray:
+    """The clipped AR(1) latent of each frame, given each frame's latent noise.
+
+    The recursion is sequential, z[t] feeds z[t + 1], so it runs over Python
+    floats.
+    """
+    z = np.empty(len(eps))
+    drift = (1.0 - gen.alpha) * gen.mu
+    z_t = min(max(gen.mu, 0.0), 1.0)
+    for t, e in enumerate(eps):
+        z[t] = z_t
+        z_t = min(max(gen.alpha * z_t + drift + e, 0.0), 1.0)
+    return z
+
+
 def generate_synthetic(
     gen: GeneratorParams,
     n_frames: int,
@@ -215,32 +233,61 @@ def generate_synthetic(
 
     ``partial_counts`` lists the offload counts that need a reduced-fusion
     score; by default the two-camera and cameras-plus-lidar offloads.
+
+    Every normal of the trace comes from one ``standard_normal`` call whose
+    row ``t`` holds frame ``t``'s noises in per-frame draw order: the map
+    noise, the ``k`` feature noises, then the latent noise, each only when
+    its scale is positive. A draw times its scale is ``rng.normal(0.0,
+    scale)`` bit for bit, and the array expressions below repeat the
+    per-frame operations in their order, so a seed gives the same trace as
+    a loop that draws frame by frame.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be positive")
     rng = np.random.default_rng(seed)
-    slopes = _embedding_slopes(gen.k)
+    k = gen.k
+    slopes = _embedding_slopes(k)
     counts = sorted(set(partial_counts))
     partial_keys = tuple(local_subset_key(i, offload_order, always_local) for i in counts)
-    features = np.empty((n_frames, gen.k))
-    map_full = np.empty(n_frames)
-    map_partial = np.empty((n_frames, len(counts)))
-    z = min(max(gen.mu, 0.0), 1.0)
-    for t in range(n_frames):
-        m_noise = rng.normal(0.0, gen.map_noise) if gen.map_noise > 0 else 0.0
-        f_noise = (
-            rng.normal(0.0, gen.feature_noise, gen.k)
-            if gen.feature_noise > 0
-            else np.zeros(gen.k)
-        )
-        full = min(max(gen.base - gen.span * z + m_noise, 0.0), 1.0)
-        map_full[t] = full
-        for c, i in enumerate(counts):
-            drop = i * (gen.deg_base + gen.deg_span * z)
-            map_partial[t, c] = min(max(full - drop, 0.0), 1.0)
-        features[t] = 0.5 + slopes * (z - 0.5) + f_noise
-        eps = rng.normal(0.0, gen.z_noise) if gen.z_noise > 0 else 0.0
-        z = min(max(gen.alpha * z + (1.0 - gen.alpha) * gen.mu + eps, 0.0), 1.0)
+    scales = ([gen.map_noise] if gen.map_noise > 0 else []) + (
+        [gen.feature_noise] * k if gen.feature_noise > 0 else []) + (
+        [gen.z_noise] if gen.z_noise > 0 else [])
+    draws = rng.standard_normal((n_frames, len(scales)))
+    draws *= scales
+    z = _latent_path(gen, draws[:, -1].tolist() if gen.z_noise > 0 else [0.0] * n_frames)
+    map_full = gen.base - gen.span * z
+    if gen.map_noise > 0:
+        map_full += draws[:, 0]
+    np.clip(map_full, 0.0, 1.0, out=map_full)
+    map_partial = np.multiply.outer(gen.deg_base + gen.deg_span * z, np.array(counts, dtype=float))
+    np.subtract(map_full[:, None], map_partial, out=map_partial)
+    np.clip(map_partial, 0.0, 1.0, out=map_partial)
+    # With feature noise the draw rows are at least k wide, so the features
+    # are built chunk by chunk into the front of the draw buffer: a chunk's
+    # noise is read before its rows are written, and later noise lies beyond
+    # them. The buffer then shrinks in place to (n, k), so no second (n, k)
+    # array is held.
+    f_at = 1 if gen.map_noise > 0 else 0
+    noise = draws[:, f_at : f_at + k] if gen.feature_noise > 0 else None
+    out = draws.reshape(-1) if noise is not None else np.empty(n_frames * k)
+    for a in range(0, n_frames, CHUNK_ROWS):
+        rows = np.multiply.outer(z[a : a + CHUNK_ROWS] - 0.5, slopes)
+        rows += 0.5
+        if noise is not None:
+            rows += noise[a : a + CHUNK_ROWS]
+        out[a * k : a * k + rows.size] = rows.ravel()
+    del rows, z  # scratch, freed before the trace is validated
+    if noise is None:
+        features = out.reshape(n_frames, k)
+    else:
+        del noise, out
+        try:
+            draws.resize((n_frames, k))
+            features = draws
+        except ValueError:
+            # resize refuses while another reference to the buffer is alive,
+            # as when a debugger holds this frame's locals: keep it whole
+            features = draws.reshape(-1)[: n_frames * k].reshape(n_frames, k)
     meta = {
         "generator": "ar1-scene-difficulty",
         "seed": str(seed),
@@ -250,7 +297,12 @@ def generate_synthetic(
 
 
 def save_trace(trace: ScenarioTrace, path) -> None:
-    """Write a trace as UTF-8 CSV with metadata comment lines."""
+    """Write a trace as UTF-8 CSV with metadata comment lines.
+
+    Rows are formatted ``CHUNK_ROWS`` at a time with one ``%`` format per
+    chunk; ``"%.6f" % v`` is ``f"{v:.6f}"``, so the bytes do not depend on
+    the chunking.
+    """
 
     def write(fh):
         for key, value in trace.metadata.items():
@@ -259,9 +311,12 @@ def save_trace(trace: ScenarioTrace, path) -> None:
         cols.append("map_full")
         cols.extend(f"map_{key}" for key in trace.partial_keys)
         fh.write(",".join(cols) + "\n")
-        rows = np.column_stack((trace.features, trace.map_full, trace.map_partial))
-        for row in rows.tolist():
-            fh.write(",".join([f"{v:.6f}" for v in row]) + "\n")
+        row_format = ",".join(["%.6f"] * len(cols)) + "\n"
+        for a in range(0, len(trace), CHUNK_ROWS):
+            rows = slice(a, a + CHUNK_ROWS)
+            chunk = np.column_stack((trace.features[rows], trace.map_full[rows],
+                                     trace.map_partial[rows]))
+            fh.write((row_format * len(chunk)) % tuple(chunk.ravel().tolist()))
 
     write_atomic(path, write)
 

@@ -118,12 +118,14 @@ def test_criterion_02_feasibility_crossover_capacities():
 def test_criterion_03_sweep_energy_ordering():
     p = SystemParams(b_down_kbit=0.0)
     grid = [2.0 + 0.5 * i for i in range(21)]
-    rows = sweep_channel(p, grid, fixed_q_ms=15.0)
+    table = sweep_channel(p, grid, fixed_q_ms=15.0)
+    col = {action.name: j for j, action in enumerate(p.action_set)}
+    energy = table.e_total_j
     ok = all(
-        r.e_total_j["offload_3"] < r.e_total_j["offload_2"] < r.e_total_j["offload_0"]
-        for r in rows
+        energy[r, col["offload_3"]] < energy[r, col["offload_2"]] < energy[r, col["offload_0"]]
+        for r in range(len(table))
     )
-    report(3, "sweep energy ordering", ok, f"{len(rows)} grid points")
+    report(3, "sweep energy ordering", ok, f"{len(table)} grid points")
 
 
 def test_criterion_04_queue_distribution_and_delay():

@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import reference
 
 from offloadlab.agent import QNetwork
 from offloadlab.channel import ChannelModel
@@ -27,7 +28,7 @@ from offloadlab.policies import (
     RAgnosticPolicy,
 )
 from offloadlab.queueing import QueueModel
-from offloadlab.scenario import GeneratorParams, generate_synthetic
+from offloadlab.scenario import CHUNK_ROWS, GeneratorParams, generate_synthetic
 
 A0, A2, A3 = Action(0), Action(2), Action(3)
 
@@ -137,67 +138,101 @@ def test_write_eval_reports_is_stable(tmp_path, small_trace, params):
     assert rows[0]["policy"] == "local"
 
 
+def _columns(params):
+    # sweep tables hold one column per action, in action-set order
+    return {action.name: j for j, action in enumerate(params.action_set)}
+
+
 def test_sweep_channel_crossovers():
     # frozen from the deadline algebra: with q=15 ms and no downlink payload,
     # offload_2 turns feasible past 185.12/38 Mbps and offload_3 past 277.68/38
     p = SystemParams(b_down_kbit=0.0)
+    col = _columns(p)
     grid = [2.0, 3.0, 4.0, 4.5, 5.0, 6.0, 7.0, 7.5, 8.0, 10.0, 12.0]
-    rows = sweep_channel(p, grid, fixed_q_ms=15.0)
-    feas2 = {r.swept_value: r.feasible["offload_2"] for r in rows}
-    feas3 = {r.swept_value: r.feasible["offload_3"] for r in rows}
+    table = sweep_channel(p, grid, fixed_q_ms=15.0)
+    feas2 = dict(zip(table.swept_value.tolist(), table.feasible[:, col["offload_2"]].tolist()))
+    feas3 = dict(zip(table.swept_value.tolist(), table.feasible[:, col["offload_3"]].tolist()))
     assert not feas2[4.5] and feas2[5.0]
     assert not feas3[7.0] and feas3[7.5]
-    assert all(r.feasible["offload_0"] for r in rows)
+    assert table.feasible[:, col["offload_0"]].all()
 
 
 def test_sweep_energy_ordering(params):
-    rows = sweep_channel(params, [2 + 0.5 * i for i in range(21)], fixed_q_ms=15.0)
-    for r in rows:
-        assert r.e_total_j["offload_3"] < r.e_total_j["offload_2"] < r.e_total_j["offload_0"]
+    col = _columns(params)
+    table = sweep_channel(params, [2 + 0.5 * i for i in range(21)], fixed_q_ms=15.0)
+    energy = table.e_total_j
+    for r in range(len(table)):
+        assert (energy[r, col["offload_3"]] < energy[r, col["offload_2"]]
+                < energy[r, col["offload_0"]])
 
 
 def test_sweep_channel_latency_decreases_with_capacity(params):
-    rows = sweep_channel(params, [2.0, 4.0, 8.0, 16.0], fixed_q_ms=15.0)
-    l2 = [r.l_total_ms["offload_2"] for r in rows]
+    col = _columns(params)
+    table = sweep_channel(params, [2.0, 4.0, 8.0, 16.0], fixed_q_ms=15.0)
+    l2 = table.l_total_ms[:, col["offload_2"]].tolist()
     assert l2 == sorted(l2, reverse=True)
-    assert all(r.l_total_ms["offload_0"] == pytest.approx(68.12) for r in rows)
+    assert all(v == pytest.approx(68.12) for v in table.l_total_ms[:, col["offload_0"]].tolist())
 
 
 def test_sweep_queue_zero_matches_channel_row(params):
-    qrow = sweep_queue(params, [0.0], fixed_phi_mbps=8.0)[0]
-    crow = sweep_channel(params, [8.0], fixed_q_ms=0.0)[0]
-    assert qrow.l_total_ms == crow.l_total_ms
-    assert qrow.e_total_j == crow.e_total_j
+    qrow = sweep_queue(params, [0.0], fixed_phi_mbps=8.0)
+    crow = sweep_channel(params, [8.0], fixed_q_ms=0.0)
+    np.testing.assert_array_equal(qrow.l_total_ms[0], crow.l_total_ms[0])
+    np.testing.assert_array_equal(qrow.e_total_j[0], crow.e_total_j[0])
 
 
 def test_sweep_queue_additive_has_unit_slope(params):
     p = params.with_updates(latency_composition="additive")
-    rows = sweep_queue(p, [0.0, 10.0, 20.0], fixed_phi_mbps=8.0)
+    col = _columns(p)
+    table = sweep_queue(p, [0.0, 10.0, 20.0], fixed_phi_mbps=8.0)
+    latency = table.l_total_ms
     for a in ("offload_2", "offload_3"):
         deltas = [
-            rows[i + 1].l_total_ms[a] - rows[i].l_total_ms[a] for i in range(len(rows) - 1)
+            latency[i + 1, col[a]] - latency[i, col[a]] for i in range(len(table) - 1)
         ]
         assert deltas == pytest.approx([10.0, 10.0], rel=1e-12)
-    assert rows[0].l_total_ms["offload_0"] == rows[2].l_total_ms["offload_0"]
+    assert latency[0, col["offload_0"]] == latency[2, col["offload_0"]]
 
 
 def test_sweep_queue_large_delay_kills_offloads(params):
-    row = sweep_queue(params, [500.0], fixed_phi_mbps=8.0)[0]
-    assert row.feasible["offload_0"]
-    assert not row.feasible["offload_2"]
-    assert not row.feasible["offload_3"]
+    col = _columns(params)
+    feasible = sweep_queue(params, [500.0], fixed_phi_mbps=8.0).feasible[0]
+    assert feasible[col["offload_0"]]
+    assert not feasible[col["offload_2"]]
+    assert not feasible[col["offload_3"]]
 
 
 def test_write_sweep_format(tmp_path, params):
-    rows = sweep_channel(params, [2.0, 8.0], fixed_q_ms=15.0)
+    table = sweep_channel(params, [2.0, 8.0], fixed_q_ms=15.0)
     path = tmp_path / "sweep.csv"
-    write_sweep(rows, params, "phi_mbps", path)
+    write_sweep(table, params, "phi_mbps", path)
     lines = path.read_text().splitlines()
     assert lines[0] == ",".join(sweep_header(params, "phi_mbps"))
     first = dict(zip(lines[0].split(","), lines[1].split(",")))
     assert first["phi_mbps"] == "2.0"
     assert first["feasible_offload_0"] == "1"
     assert first["feasible_offload_2"] == "0"
+
+
+@pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7])
+def test_write_sweep_matches_the_per_cell_repr_at_chunk_edges(tmp_path, params, n):
+    # grid values with long reprs, from capacities where every offload misses
+    # the deadline to ones where all are feasible
+    grid = np.linspace(0.5, 30.0, n) + 1e-9
+    table = sweep_channel(params, grid, fixed_q_ms=15.0)
+    assert not table.feasible[0].all() and table.feasible[:, 0].all()
+    path = tmp_path / "sweep.csv"
+    write_sweep(table, params, "phi_mbps", path)
+    want = ",".join(sweep_header(params, "phi_mbps")) + "\n" + reference.format_sweep_rows(
+        table, params)
+    assert path.read_bytes() == want.encode("utf-8")
+
+
+def test_write_sweep_rejects_a_table_of_another_action_set(tmp_path, params):
+    table = sweep_channel(params, [2.0, 8.0], fixed_q_ms=15.0)
+    four = params.with_updates(action_set=(Action(0), Action(1), Action(2), Action(3)))
+    with pytest.raises(ValueError, match="action columns"):
+        write_sweep(table, four, "phi_mbps", tmp_path / "sweep.csv")
 
 
 def test_sweep_rejects_empty_grid(params):

@@ -189,6 +189,27 @@ def test_adam_matches_the_textbook_update_bit_for_bit():
         np.testing.assert_array_equal(p, want)
 
 
+def test_adam_flushes_subnormal_first_moments_without_moving_parameters():
+    # a gradient held at 0 decays m by beta1 per step into the subnormal
+    # range, where arithmetic is slow; the flush leaves p's bits unchanged
+    rng = np.random.default_rng(4)
+    tiny = np.finfo(float).tiny
+    p = rng.normal(size=1000)
+    opt = Adam(lr=1e-3)
+    opt.step([p], [rng.normal(size=1000)])
+    m, v = opt._state[0][:2]
+    m[:500] = rng.uniform(-1.0, 1.0, 500) * tiny  # subnormal or zero
+    m[500:510] = [tiny, -tiny, 1.0 / 0.9 * tiny, -1e-300, 5e-324, -5e-324, 0.0, -0.0, 1e-3, -1e-3]
+    want_m = 0.9 * m + (1.0 - 0.9) * 0.0
+    want_v = 0.999 * v + (1.0 - 0.999) * 0.0
+    want = p - 1e-3 * (want_m / (1.0 - 0.9**2)) / (np.sqrt(want_v / (1.0 - 0.999**2)) + 1e-8)
+    opt.step([p], [np.zeros(1000)])
+    assert np.count_nonzero((m != 0.0) & (np.abs(m) < tiny)) == 0
+    assert np.all(m[:500] == 0.0)
+    np.testing.assert_array_equal(m[500:], np.where(np.abs(want_m[500:]) < tiny, 0.0, want_m[500:]))
+    np.testing.assert_array_equal(p, want)
+
+
 def test_parameters_are_live_views():
     net = MLP([2, 2], np.random.default_rng(0))
     net.parameters()[0][:] = 0.0

@@ -1,5 +1,5 @@
-"""Properties of the cost model, the reward table, the replay blocks and the
-checkpoint format over random inputs."""
+"""Properties of the cost model, the queue's inverse CDF, the reward table,
+the replay blocks and the checkpoint format over random inputs."""
 
 import math
 import tempfile
@@ -15,7 +15,7 @@ from offloadlab.agent import QNetwork, load_checkpoint, save_checkpoint
 from offloadlab.channel import ChannelModel
 from offloadlab.cost import COMPOSITIONS, CostBreakdown, SystemParams, cost_table, total_cost
 from offloadlab.env import REWARD_BASES, RewardParams, reward_table, reward_with_case
-from offloadlab.queueing import QueueModel
+from offloadlab.queueing import QueueModel, delays_from_uniform, position_from_uniform, queue_pmf
 from offloadlab.scenario import GeneratorParams, generate_synthetic
 
 # few examples: the suite's time goes to training, not to these checks
@@ -70,6 +70,44 @@ def test_costs_grow_with_queue_delay(params, phi, q_a, q_b):
     short, long = sorted((q_a, q_b))
     for lo, hi in zip(_totals(params, phi, short), _totals(params, phi, long)):
         assert all(a <= b for a, b in zip(lo, hi))
+
+
+@SETTINGS
+@given(systems, capacities, capacities, delays)
+def test_energy_terms_sum_to_the_total(params, phi_up, phi_down, q):
+    # e_total is the left-to-right sum of its four terms, bit for bit, under
+    # either composition; no term is negative, and offload_0 never idles
+    for composition in COMPOSITIONS:
+        p = params.with_updates(latency_composition=composition)
+        for action in p.action_set:
+            cb = total_cost(p, action, phi_up, phi_down, q)
+            terms = (cb.e_local_j, cb.e_tx_j, cb.e_idle_j, cb.e_rx_j)
+            assert cb.e_total_j == ((cb.e_local_j + cb.e_tx_j) + cb.e_idle_j) + cb.e_rx_j
+            assert all(term >= 0.0 for term in terms)
+            if action.i == 0:
+                assert cb.e_idle_j == 0.0
+
+
+loads = st.floats(min_value=0.01, max_value=0.995)
+uniforms = st.floats(min_value=0.0, max_value=1.0, exclude_max=True)
+
+
+@SETTINGS
+@given(loads, st.integers(1, 2000), st.lists(uniforms, min_size=1, max_size=8),
+       st.sampled_from([0.5, 1.5]))
+def test_queue_inverse_cdf_stays_in_range_and_brackets_u(rho, cap, us, t_service_ms):
+    # the position is the smallest c whose CDF reaches u: the cumulative pmf
+    # at c is >= u and at c - 1 is < u, up to 1e-12 at the slot edges, where
+    # the closed form and the summed pmf round differently
+    cdf = np.cumsum(queue_pmf(rho, cap))
+    positions = [position_from_uniform(rho, cap, u) for u in us]
+    for u, c in zip(us, positions):
+        assert 0 <= c <= cap
+        assert cdf[c] >= u - 1e-12
+        assert c == 0 or cdf[c - 1] < u + 1e-12
+    model = QueueModel(rho=rho, cap=cap, t_service_ms=t_service_ms)
+    assert delays_from_uniform(model, np.array(us)).tolist() == [
+        (c + 1) * t_service_ms for c in positions]
 
 
 # latencies on both sides of the default 68.12 ms deadline and exactly on it

@@ -1,8 +1,12 @@
+import sys
+
 import numpy as np
 import pytest
+import reference
 
 from offloadlab.cost import Action
 from offloadlab.scenario import (
+    CHUNK_ROWS,
     GeneratorParams,
     ScenarioTrace,
     generate_synthetic,
@@ -89,6 +93,79 @@ def test_generator_validation():
     gen = GeneratorParams()
     with pytest.raises(ValueError):
         generate_synthetic(gen, 0, seed=1)
+
+
+GENERATOR_CASES = [
+    GeneratorParams(),
+    GeneratorParams(k=1),
+    GeneratorParams(k=5),
+    GeneratorParams(map_noise=0.0),
+    GeneratorParams(feature_noise=0.0),
+    GeneratorParams(z_noise=0.0),
+    GeneratorParams(alpha=0.0),
+]
+
+
+@pytest.mark.parametrize("gen", GENERATOR_CASES, ids=range(len(GENERATOR_CASES)))
+@pytest.mark.parametrize("partial_counts", [(2, 3), (3,), (1, 2, 3)])
+@pytest.mark.parametrize("n_frames", [1, 3000])
+def test_generator_matches_the_per_frame_reference(gen, partial_counts, n_frames):
+    # one draw per trace against k + 2 draws per frame: the same bytes, also
+    # where a scale is 0 and its column is left out of the draw, and across
+    # the chunks the features are built in
+    for seed in (0, 5, 123):
+        got = generate_synthetic(gen, n_frames, seed, partial_counts)
+        want = reference.generate_synthetic(gen, n_frames, seed, partial_counts)
+        assert got.partial_keys == want.partial_keys
+        assert got.metadata == want.metadata
+        for field in ("features", "map_full", "map_partial"):
+            assert getattr(got, field).shape == getattr(want, field).shape
+            assert getattr(got, field).tobytes() == getattr(want, field).tobytes()
+
+
+def test_generator_under_a_debugger_matches_the_reference():
+    # a tracer that reads the frame's locals, as a debugger does at a stop,
+    # holds references that stop the draw buffer from shrinking in place
+    def tracer(frame, event, arg):
+        if frame.f_code is generate_synthetic.__code__:
+            frame.f_locals
+            return tracer
+        return None
+
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        got = generate_synthetic(GeneratorParams(), 1500, seed=2)
+    finally:
+        sys.settrace(previous)
+    want = reference.generate_synthetic(GeneratorParams(), 1500, seed=2)
+    assert got.features.tobytes() == want.features.tobytes()
+
+
+def _edge_trace(n: int) -> ScenarioTrace:
+    # cells that stress the 6-decimal format: a negative zero, a negative
+    # value that rounds to -0.000000, the half-ulp 5e-7 and exactly 1.0
+    rng = np.random.default_rng(n)
+    features = rng.normal(0.5, 2.0, (n, 3))
+    scores = rng.uniform(0.0, 1.0, (n, 3))
+    edges = [-0.0, -4e-7, 5e-7, 1.0]
+    features.flat[: min(features.size, 4)] = edges[: features.size]
+    features[-1] = [-0.0, -4e-7, 5e-7]
+    scores[0, : 3] = [-0.0, 5e-7, 1.0]
+    scores[-1] = [1.0, 0.0, 5e-7]
+    return ScenarioTrace(features, scores[:, 0], scores[:, 1:], ("radar_lidar", "radar"),
+                         metadata={"seed": str(n)})
+
+
+@pytest.mark.parametrize("n", [1, CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1, 2 * CHUNK_ROWS + 7])
+def test_save_trace_matches_the_per_cell_format_at_chunk_edges(tmp_path, n):
+    trace = _edge_trace(n)
+    path = tmp_path / "trace.csv"
+    save_trace(trace, path)
+    want = (f"# seed = {n}\nf0,f1,f2,map_full,map_radar_lidar,map_radar\n"
+            + reference.format_trace_rows(trace))
+    assert path.read_bytes() == want.encode("utf-8")
+    assert "\n-0.000000,-0.000000,0.000000," in want
 
 
 def test_save_load_round_trip(tmp_path, small_trace):

@@ -2,7 +2,14 @@
 
 import importlib
 import importlib.util
+import tracemalloc
 from pathlib import Path
+
+import pytest
+
+from offloadlab.cost import SystemParams
+from offloadlab.metrics import sweep_channel, write_sweep
+from offloadlab.scenario import GeneratorParams, generate_synthetic, save_trace
 
 SPANS_FILE = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -33,3 +40,30 @@ def test_every_traced_span_resolves_in_the_package():
             missing.append(f"{module}.{attr}")
     assert not missing, f"bench/spans.py traces names the package lacks: {missing}"
     assert {module for module, _ in spans.SPANS} <= set(spans.LAYERS)
+
+
+def _traced_peak_mib(run) -> float:
+    run()  # warm-up: first calls import and cache numpy internals
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
+# Bounds on the traced peak of the chunked writers, below the 15.7 MiB and
+# 10.4 MiB of the per-row writers they replaced: formatting a whole table at
+# once, or building one object per sweep row, brings those peaks back.
+@pytest.mark.parametrize("writer, bound_mib", [("save_trace", 3.0), ("sweep", 3.0)])
+def test_writers_keep_a_bounded_traced_peak(tmp_path, writer, bound_mib):
+    if writer == "save_trace":
+        trace = generate_synthetic(GeneratorParams(), 20_000, seed=3)
+        peak = _traced_peak_mib(lambda: save_trace(trace, tmp_path / "trace.csv"))
+    else:
+        params = SystemParams()
+        grid = [2.0 + 0.001 * i for i in range(10_001)]
+        peak = _traced_peak_mib(lambda: write_sweep(
+            sweep_channel(params, grid, fixed_q_ms=15.0), params, "phi_mbps",
+            tmp_path / "sweep.csv"))
+    assert peak < bound_mib, f"{writer} traced peak {peak:.2f} MiB"
