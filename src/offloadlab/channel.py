@@ -55,7 +55,10 @@ def capacities_from_uniform(model: ChannelModel, u: np.ndarray) -> np.ndarray:
     fraction of a percent of inputs one ulp apart from it.
     """
     logs = np.fromiter(map(math.log, u.tolist()), dtype=float, count=len(u))
-    return np.maximum(model.floor_mbps, model.sigma * np.sqrt(-2.0 * logs))
+    raw = model.sigma * np.sqrt(-2.0 * logs)
+    # max()'s choice, not np.maximum's: at u = 1 the raw capacity is -0.0,
+    # which max(0.0, -0.0) drops for the floor and np.maximum would keep
+    return np.where(raw > model.floor_mbps, raw, model.floor_mbps)
 
 
 def sample_capacities(model: ChannelModel, rng: np.random.Generator, n: int) -> np.ndarray:

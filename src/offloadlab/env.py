@@ -35,9 +35,11 @@ CASE_ENERGY = "energy"
 # the energy branch counts an action as minimal within these tolerances
 RANK_REL_TOL = 1e-12
 RANK_ABS_TOL = 1e-15
-# frames per replay block: bounds the per-block tables and the batched drl
-# forward, so replay memory stays flat in the trace length
-BLOCK_FRAMES = 512
+# frames per replay block: bounds the per-block draw, cost and outcome
+# tables, so replay memory stays flat in the trace length; each block pays a
+# fixed cost of some 80 numpy calls, so larger blocks replay faster (the drl
+# forward runs in slices of policies.FORWARD_ROWS whatever this size)
+BLOCK_FRAMES = 2048
 
 
 @dataclass(frozen=True, slots=True)

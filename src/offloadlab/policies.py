@@ -144,6 +144,11 @@ class OraclePolicy(Policy):
         return block.columns(self.params.action_set, best)
 
 
+# rows per batched drl forward: a slice's activations stay small whatever the
+# replay block size, and while env.BLOCK_FRAMES is a multiple of it, the
+# slices, and so the Q-value bits a batch size may move, do not depend on it
+FORWARD_ROWS = 512
+
 # a batched forward may round a value apart from the batch-1 forward of
 # act() (by ~1e-14 on the bundled nets); frames whose two best values lie
 # closer than this relative gap are re-decided at batch 1
@@ -162,7 +167,9 @@ class DrlPolicy(Policy):
         return PolicyDecision(self.net.actions[act(self.net, state, 0.0)], TAG_GREEDY)
 
     def decide_block(self, block):
-        values = self.net.forward(block.features, block.phi_obs, block.q_obs)
+        values = np.concatenate([
+            self.net.forward(block.features[s], block.phi_obs[s], block.q_obs[s])
+            for s in (slice(t, t + FORWARD_ROWS) for t in range(0, len(block), FORWARD_ROWS))])
         best = np.argmax(values, axis=1)
         if self.net.n_actions > 1:
             top = np.sort(values, axis=1)

@@ -13,6 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# slot counts within this relative distance of an integer are recomputed
+# with math.log in delays_from_uniform; a one-ulp log error is ~1e-16
+SLOT_EDGE_REL = 1e-9
+
 
 @dataclass(frozen=True, slots=True)
 class QueueModel:
@@ -76,13 +80,24 @@ def sample_delay(model: QueueModel, rng: np.random.Generator) -> float:
 def delays_from_uniform(model: QueueModel, u: np.ndarray) -> np.ndarray:
     """Delays of an array of draws in [0, 1), bit for bit as sample_delay.
 
-    The logarithm goes through ``math.log``: numpy's SIMD ``log`` rounds a
-    fraction of a percent of inputs one ulp apart from it, which can move a
-    position across a slot boundary.
+    The slot count ``log(w) / log(rho)`` is taken with numpy's ``log``, which
+    rounds a fraction of a percent of inputs one ulp apart from ``math.log``.
+    Such an ulp moves the ratio by a few parts in 1e16, so it can change
+    ``ceil()`` only where the ratio lies within rounding of an integer: the
+    entries within ``SLOT_EDGE_REL`` of one are recomputed with ``math.log``,
+    and every delay equals ``sample_delay``'s. Only the integer slot leaves
+    this function, so the guard suffices here. ``capacities_from_uniform``
+    keeps ``math.log`` on every draw: its float value reaches the cost
+    tables, where a one-ulp difference would change output bits.
     """
-    w = 1.0 + u * math.expm1((model.cap + 1) * math.log(model.rho))
-    logs = np.fromiter(map(math.log, w.tolist()), dtype=float, count=len(w))
-    c = np.ceil(logs / math.log(model.rho)) - 1
+    log_rho = math.log(model.rho)
+    w = 1.0 + u * math.expm1((model.cap + 1) * log_rho)
+    ratio = np.log(w) / log_rho
+    edge = np.flatnonzero(
+        np.abs(ratio - np.rint(ratio)) <= SLOT_EDGE_REL * np.maximum(1.0, np.abs(ratio)))
+    if edge.size:
+        ratio[edge] = [math.log(x) / log_rho for x in w[edge].tolist()]
+    c = np.ceil(ratio) - 1
     c = np.clip(c, 0, model.cap)
     return (c + 1.0) * model.t_service_ms
 

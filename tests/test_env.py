@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import offloadlab.env as env_module
 from offloadlab.channel import ChannelModel, sample_capacity
 from offloadlab.cost import COMPOSITIONS, Action, CostBreakdown, SystemParams, total_cost
 from offloadlab.env import (
@@ -135,8 +136,17 @@ def test_step_sequence_deterministic(small_trace):
     assert seq[0] == seq[1]
 
 
+@pytest.fixture
+def short_blocks(monkeypatch):
+    """Replay in 512-frame blocks, so a few hundred frames cross block edges;
+    the per-frame scalar references would cost several times more on a trace
+    of several BLOCK_FRAMES."""
+    monkeypatch.setattr(env_module, "BLOCK_FRAMES", 512)
+    return 512
+
+
 @pytest.mark.parametrize("basis", REWARD_BASES)
-def test_observations_lag_realized_draws(basis):
+def test_observations_lag_realized_draws(basis, short_blocks):
     # the draw an action experiences becomes the next decision's probe; a
     # 1300-frame episode crosses the replay's block edges at 512 and 1024,
     # and every step matches alternating scalar draws on the same seed
@@ -169,9 +179,11 @@ def test_observations_lag_realized_draws(basis):
 def test_replay_blocks_follow_the_scalar_stream_across_block_edges(params, channel, queue):
     # row r of the block at t0 is draw t0 + r of alternating scalar draws, and
     # each block opens on the row the previous block ended with
-    trace = generate_synthetic(GeneratorParams(), 1300, seed=5)
+    # two full blocks and a short one, at the package's block size
+    trace = generate_synthetic(GeneratorParams(), 2 * BLOCK_FRAMES + 276, seed=5)
     rng = np.random.default_rng(9)
-    draws = [(sample_capacity(channel, rng), sample_delay(queue, rng)) for _ in range(1301)]
+    draws = [(sample_capacity(channel, rng), sample_delay(queue, rng))
+             for _ in range(len(trace) + 1)]
     phi_want, q_want = (np.array(col) for col in zip(*draws))
     blocks = list(replay_blocks(trace, channel, queue, params, seed=9))
     assert [b[0] for b in blocks] == [0, BLOCK_FRAMES, 2 * BLOCK_FRAMES]
@@ -197,7 +209,8 @@ OUTCOME_PARAMS = {
 @pytest.mark.parametrize("basis", REWARD_BASES)
 @pytest.mark.parametrize("composition", COMPOSITIONS)
 @pytest.mark.parametrize("case", sorted(OUTCOME_PARAMS))
-def test_outcome_tables_equal_the_scalar_references_cell_for_cell(basis, composition, case):
+def test_outcome_tables_equal_the_scalar_references_cell_for_cell(basis, composition, case,
+                                                                  short_blocks):
     # every action on every frame of a 600-frame replay (one block edge):
     # deadline, realized quality, energy and reward against total_cost,
     # realized_map and reward_with_case at the realized and the ranked draw
@@ -222,7 +235,7 @@ def test_outcome_tables_equal_the_scalar_references_cell_for_cell(basis, composi
                 want = (met, realized_map(trace, t, action, met, p.offload_order),
                         cost.e_total_j, reward)
                 assert tuple(table[r, col] for table in tables) == want, (t, action.name)
-    assert t0 == BLOCK_FRAMES
+    assert t0 == short_blocks
     if case == "no_feasible_rows":
         assert rows_without_feasible
     if case == "tied_energies":

@@ -20,6 +20,7 @@ from offloadlab.metrics import (
     write_sweep,
 )
 from offloadlab.policies import (
+    FORWARD_ROWS,
     DrlPolicy,
     LocalPolicy,
     OraclePolicy,
@@ -331,9 +332,12 @@ def _same(a, b):
     return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
 
 
-@pytest.fixture(scope="module", params=[1, BLOCK_FRAMES, BLOCK_FRAMES + 1, 1300])
+@pytest.fixture(scope="module", params=[1, FORWARD_ROWS, FORWARD_ROWS + 1, 1300, BLOCK_FRAMES,
+                                        2 * BLOCK_FRAMES + 1])
 def replay_trace(request):
-    # one block, a full block, a block plus one frame, and several blocks
+    # one frame; one drl forward slice, a slice plus one row, and several
+    # slices ending in a short one, all in one block; a full block; and three
+    # blocks, the last of one frame, not a whole number of slices
     return generate_synthetic(GeneratorParams(), request.param, seed=request.param)
 
 

@@ -1,7 +1,9 @@
-"""Properties of the cost model, the queue's inverse CDF, the reward table,
-the replay blocks and the checkpoint format over random inputs."""
+"""Properties of the cost model, the queue's and the channel's inverse CDFs,
+the reward table, the replay blocks and the checkpoint format over random
+inputs."""
 
 import math
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from offloadlab import env
 from offloadlab.agent import QNetwork, load_checkpoint, save_checkpoint
-from offloadlab.channel import ChannelModel
+from offloadlab.channel import ChannelModel, capacities_from_uniform, capacity_from_uniform
 from offloadlab.cost import COMPOSITIONS, CostBreakdown, SystemParams, cost_table, total_cost
 from offloadlab.env import REWARD_BASES, RewardParams, reward_table, reward_with_case
 from offloadlab.queueing import QueueModel, delays_from_uniform, position_from_uniform, queue_pmf
@@ -108,6 +110,26 @@ def test_queue_inverse_cdf_stays_in_range_and_brackets_u(rho, cap, us, t_service
     model = QueueModel(rho=rho, cap=cap, t_service_ms=t_service_ms)
     assert delays_from_uniform(model, np.array(us)).tolist() == [
         (c + 1) * t_service_ms for c in positions]
+
+
+channels = st.builds(ChannelModel, sigma=st.floats(min_value=0.01, max_value=100.0),
+                     floor_mbps=st.sampled_from([0.0, 0.1, 5.0]))
+# draws in (0, 1], subnormals included
+capacity_uniforms = st.floats(min_value=0.0, max_value=1.0, exclude_min=True)
+# 1.0 gives a zero capacity, and the smallest normal and its neighbours the
+# largest ones, where the logarithm is most negative
+EXTREME_UNIFORMS = [1.0, sys.float_info.min, math.nextafter(sys.float_info.min, 0.0),
+                    math.nextafter(sys.float_info.min, 1.0), 5e-324]
+
+
+@SETTINGS
+@given(channels, st.lists(capacity_uniforms, min_size=1, max_size=8))
+@example(ChannelModel(sigma=8.0, floor_mbps=0.0), EXTREME_UNIFORMS)
+@example(ChannelModel(sigma=8.0, floor_mbps=0.1), EXTREME_UNIFORMS)
+def test_capacities_from_uniform_equal_the_scalar_transform_bit_for_bit(channel, us):
+    got = capacities_from_uniform(channel, np.array(us))
+    want = np.array([capacity_from_uniform(channel, u) for u in us])
+    assert got.tobytes() == want.tobytes()
 
 
 # latencies on both sides of the default 68.12 ms deadline and exactly on it

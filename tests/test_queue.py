@@ -1,6 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
+from offloadlab import queueing
 from offloadlab.queueing import (
     QueueModel,
     delays_from_uniform,
@@ -98,15 +101,39 @@ def test_model_validation():
         QueueModel(t_service_ms=0.0)
 
 
-@pytest.mark.parametrize("rho", [0.9, 0.97, 0.99])
-def test_delays_from_uniform_match_scalar_at_slot_boundaries(rho):
-    # uniforms at and one ulp around the CDF steps, where a log rounded one
-    # ulp apart would move a draw into the neighbouring slot
-    model = QueueModel(rho=rho)
+def _slot_edge_draws(model):
+    """Uniforms at and one ulp around the CDF steps, where a log rounded one
+    ulp apart would move a draw into the neighbouring slot, and the scalar
+    delays of them."""
+    rho = model.rho
     c = np.arange(0, 400, 7, dtype=float)
     steps = -np.expm1((c + 1) * np.log(rho)) / -np.expm1((model.cap + 1) * np.log(rho))
     u = np.concatenate([[0.0], steps, np.nextafter(steps, 0.0), np.nextafter(steps, 1.0)])
     u = u[u < 1.0]
-    want = [(position_from_uniform(rho, model.cap, x) + 1) * model.t_service_ms
-            for x in u.tolist()]
+    return u, [(position_from_uniform(rho, model.cap, x) + 1) * model.t_service_ms
+               for x in u.tolist()]
+
+
+@pytest.mark.parametrize("rho", [0.9, 0.97, 0.99])
+def test_delays_from_uniform_match_scalar_at_slot_boundaries(rho):
+    model = QueueModel(rho=rho)
+    u, want = _slot_edge_draws(model)
+    assert delays_from_uniform(model, u).tolist() == want
+
+
+@pytest.mark.parametrize("direction", [np.inf, -np.inf], ids=["ulp_up", "ulp_down"])
+@pytest.mark.parametrize("rho", [0.9, 0.97, 0.99])
+def test_delays_from_uniform_survive_a_log_one_ulp_off(monkeypatch, rho, direction):
+    # numpy's log may round one ulp apart from math.log, and on a host where
+    # the two agree the slot-boundary check above never reaches the math.log
+    # fallback; here every numpy log is one ulp off, and the delays at and
+    # one ulp around the CDF steps still equal the scalar ones
+    model = QueueModel(rho=rho)
+    u, want = _slot_edge_draws(model)
+    log = np.log
+    monkeypatch.setattr(queueing.np, "log", lambda x: np.nextafter(log(x), direction))
+    # the nudge alone moves some draw to a neighbouring slot
+    w = 1.0 + u * math.expm1((model.cap + 1) * math.log(rho))
+    nudged = np.clip(np.ceil(np.log(w) / math.log(rho)) - 1, 0, model.cap)
+    assert ((nudged + 1) * model.t_service_ms).tolist() != want
     assert delays_from_uniform(model, u).tolist() == want

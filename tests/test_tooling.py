@@ -5,10 +5,15 @@ import importlib.util
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from offloadlab.agent import QNetwork
+from offloadlab.channel import ChannelModel
 from offloadlab.cost import SystemParams
-from offloadlab.metrics import sweep_channel, write_sweep
+from offloadlab.metrics import evaluate, sweep_channel, write_sweep
+from offloadlab.policies import DrlPolicy
+from offloadlab.queueing import QueueModel
 from offloadlab.scenario import GeneratorParams, generate_synthetic, save_trace
 
 SPANS_FILE = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
@@ -67,3 +72,15 @@ def test_writers_keep_a_bounded_traced_peak(tmp_path, writer, bound_mib):
             sweep_channel(params, grid, fixed_q_ms=15.0), params, "phi_mbps",
             tmp_path / "sweep.csv"))
     assert peak < bound_mib, f"{writer} traced peak {peak:.2f} MiB"
+
+
+def test_drl_replay_keeps_a_bounded_traced_peak():
+    # one drl evaluate of 10,000 frames peaks at 1.3 MiB with the forward run
+    # in FORWARD_ROWS slices and at 3.0 MiB with one forward per replay block:
+    # a larger BLOCK_FRAMES must not take the forward's activations with it
+    params = SystemParams()
+    trace = generate_synthetic(GeneratorParams(), 10_000, seed=0)
+    net = QNetwork(trace.features.shape[1], params.action_set, rng=np.random.default_rng(0))
+    peak = _traced_peak_mib(lambda: evaluate(DrlPolicy(net), trace, ChannelModel(sigma=8.0),
+                                             QueueModel(), params, seeds=1))
+    assert peak < 2.0, f"drl evaluate traced peak {peak:.2f} MiB"
